@@ -199,8 +199,8 @@ let extension_benches =
           let prep = O.prepare sub in
           fun () ->
             ignore
-              (Soctest_baselines.Exact.solve ~node_limit:2_000_000 prep
-                 ~tam_width:16)));
+              (Soctest_pack.Bnb.solve ~node_limit:2_000_000 prep
+                 ~tam_width:16 ~constraints:(unconstrained sub))));
     Test.make ~name:"extension/polish_d695_w48"
       (Staged.stage (fun () ->
            let seed =

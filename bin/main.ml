@@ -63,6 +63,33 @@ let store_arg =
 
 let open_store path = Option.map (fun p -> Store.open_ p) path
 
+(* Constraint knobs, shared by every subcommand that builds a constraint
+   set (schedule, portfolio, check, pack-bench). *)
+
+let power_arg =
+  Arg.(
+    value & flag
+    & info [ "power" ]
+        ~doc:"Apply the default power limit (1.5x the largest core).")
+
+let preempt_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "preempt" ] ~docv:"N"
+        ~doc:
+          "Allow $(docv) preemptions on the larger cores (those with \
+           above-median test data volume). 0 (the default) forbids \
+           preemption; a negative $(docv) is an error.")
+
+(* [power_limit], when given, overrides [--power]'s derived default. *)
+let constraints_of ?power_limit ~power ~preempt soc =
+  let power_limit =
+    match power_limit with
+    | Some _ -> power_limit
+    | None -> if power then Some (Flow.default_power_limit soc) else None
+  in
+  Flow.constraints ?power_limit ~preempt soc
+
 (* Write [contents] to [path] without leaking the channel when the write
    itself raises (ENOSPC, closed pipe, ...). *)
 let write_string_to_file path contents =
@@ -497,8 +524,8 @@ let portfolio_cmd =
       & info [ "strategies" ] ~docv:"KINDS"
           ~doc:
             "Comma-separated strategy kinds to race: any of grid, anneal, \
-             polish, baseline, exact, rectpack, rectpack-diagonal, \
-             exact-bnb, or $(b,all) (see $(b,--list-strategies)).")
+             polish, baseline, rectpack, rectpack-diagonal, exact-bnb, or \
+             $(b,all) (see $(b,--list-strategies)).")
   in
   let list_strategies =
     Arg.(
@@ -514,18 +541,6 @@ let portfolio_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the full race telemetry (with timings) as JSON.")
-  in
-  let preempt =
-    Arg.(
-      value & opt int 0
-      & info [ "preempt" ] ~docv:"N"
-          ~doc:"Allow N preemptions on the larger cores.")
-  in
-  let power =
-    Arg.(
-      value & flag
-      & info [ "power" ]
-          ~doc:"Apply the default power limit (1.5x the largest core).")
   in
   let parse_kinds spec =
     if spec = "all" then None
@@ -569,16 +584,7 @@ let portfolio_cmd =
            analyses and dedup overlapping evaluations *)
         let engine = Engine.create () in
         let prepared = Engine.prepare engine soc in
-        let max_preempts =
-          if preempt > 0 then Flow.preemption_budget soc ~limit:preempt
-          else []
-        in
-        let constraints =
-          Constraint_def.of_soc soc ~max_preemptions:max_preempts
-            ?power_limit:
-              (if power then Some (Flow.default_power_limit soc) else None)
-            ()
-        in
+        let constraints = constraints_of ~power ~preempt soc in
         let strats =
           Soctest_portfolio.Strategy.default ?kinds:(parse_kinds strategies)
             ~eval:(Engine.evaluator engine)
@@ -588,8 +594,8 @@ let portfolio_cmd =
         in
         if strats = [] then
           failwith
-            "no strategies to race (note: exact is gated to SOCs with at \
-             most 6 cores, exact-bnb to 12)";
+            "no strategies to race (note: exact-bnb is gated to SOCs with \
+             at most 12 cores)";
         let jobs = if jobs <= 0 then None else Some jobs in
         let r =
           Soctest_portfolio.Portfolio.run ?jobs ?deadline_ms:deadline strats
@@ -629,13 +635,13 @@ let portfolio_cmd =
        ~doc:
          "Race the optimizer parameter grid, annealing restarts, polish, \
           the baselines, the rectangle-bin-packing family and the exact \
-          solvers concurrently across OCaml domains; the winner is \
-          selected deterministically (best makespan, ties by registration \
+          branch-and-bound concurrently across OCaml domains; the winner \
+          is selected deterministically (best makespan, ties by registration \
           order — never by completion order).")
     Term.(
       ret
         (const run $ soc_arg ~default:"d695" $ width_arg ~default:32 $ jobs
-       $ deadline $ strategies $ list_strategies $ preempt $ power
+       $ deadline $ strategies $ list_strategies $ preempt_arg $ power_arg
        $ csv_arg $ json $ save $ trace_arg $ metrics_arg
        $ obs_summary_arg))
 
@@ -693,18 +699,6 @@ let export_cmd =
     Term.(ret (const run $ soc_arg ~default:"d695" $ out))
 
 let schedule_cmd =
-  let preempt =
-    Arg.(
-      value & opt int 0
-      & info [ "preempt" ] ~docv:"N"
-          ~doc:"Allow N preemptions on the larger cores.")
-  in
-  let power =
-    Arg.(
-      value & flag
-      & info [ "power" ]
-          ~doc:"Apply the default power limit (1.5x the largest core).")
-  in
   let gantt =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Render an ASCII Gantt chart.")
   in
@@ -730,16 +724,7 @@ let schedule_cmd =
     wrap (fun () ->
         with_obs ~trace ~metrics ~summary:obs_summary @@ fun () ->
         let soc = load_soc soc in
-        let max_preempts =
-          if preempt > 0 then Flow.preemption_budget soc ~limit:preempt
-          else []
-        in
-        let constraints =
-          Constraint_def.of_soc soc ~max_preemptions:max_preempts
-            ?power_limit:
-              (if power then Some (Flow.default_power_limit soc) else None)
-            ()
-        in
+        let constraints = constraints_of ~power ~preempt soc in
         let engine = Engine.create ?store:(open_store store) () in
         let r, budget_note =
           match budget_ms with
@@ -808,60 +793,8 @@ let schedule_cmd =
     Term.(
       ret
         (const run $ soc_arg ~default:"d695" $ width_arg ~default:32
-       $ preempt $ power $ gantt $ save $ budget_ms $ store_arg $ trace_arg
-       $ metrics_arg $ obs_summary_arg))
-
-let validate_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SCHEDULE" ~doc:"Schedule file to validate.")
-  in
-  let power =
-    Arg.(
-      value & flag
-      & info [ "power" ] ~doc:"Also check the default power limit.")
-  in
-  let run soc_name file power =
-    wrap (fun () ->
-        let soc = load_soc soc_name in
-        let sched =
-          try Soctest_tam.Schedule_io.of_file file
-          with Soctest_tam.Schedule_io.Parse_error e ->
-            failwith
-              (Format.asprintf "%a" Soctest_tam.Schedule_io.pp_error e)
-        in
-        let constraints =
-          Constraint_def.of_soc soc
-            ?power_limit:
-              (if power then Some (Flow.default_power_limit soc) else None)
-            ()
-        in
-        match
-          Soctest_constraints.Conflict.validate soc constraints sched
-        with
-        | [] ->
-          Printf.printf
-            "%s: valid schedule for %s (W=%d, makespan %d, utilization %.1f%%)\n"
-            file soc.Soc_def.name sched.Soctest_tam.Schedule.tam_width
-            (Soctest_tam.Schedule.makespan sched)
-            (100. *. Soctest_tam.Schedule.utilization sched)
-        | violations ->
-          (* diagnostics belong on stderr: stdout stays machine-readable
-             and the exit code already signals failure *)
-          List.iter
-            (fun v ->
-              Format.eprintf "%s: %a@." file
-                Soctest_constraints.Conflict.pp_violation v)
-            violations;
-          failwith
-            (Printf.sprintf "%d violation(s)" (List.length violations)))
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Re-validate a saved schedule against an SOC's constraints.")
-    Term.(ret (const run $ soc_arg ~default:"d695" $ file $ power))
+       $ preempt_arg $ power_arg $ gantt $ save $ budget_ms $ store_arg
+       $ trace_arg $ metrics_arg $ obs_summary_arg))
 
 let check_cmd =
   let file =
@@ -869,11 +802,6 @@ let check_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"SCHEDULE" ~doc:"Schedule file to audit.")
-  in
-  let power =
-    Arg.(
-      value & flag
-      & info [ "power" ] ~doc:"Also audit against the default power limit.")
   in
   let power_limit =
     Arg.(
@@ -883,15 +811,6 @@ let check_cmd =
           ~doc:
             "Audit against an explicit power limit of $(docv) (overrides \
              $(b,--power)'s derived default).")
-  in
-  let preempt =
-    Arg.(
-      value & opt int (-1)
-      & info [ "preempt" ] ~docv:"N"
-          ~doc:
-            "Audit with a budget of N preemptions on the larger cores \
-             (matching `schedule --preempt N`). N=0 forbids preemption on \
-             those cores; negative (the default) leaves it unlimited.")
   in
   let wmax =
     Arg.(
@@ -918,19 +837,7 @@ let check_cmd =
             failwith
               (Format.asprintf "%a" Soctest_tam.Schedule_io.pp_error e)
         in
-        let max_preempts =
-          if preempt >= 0 then Flow.preemption_budget soc ~limit:preempt
-          else []
-        in
-        let power_limit =
-          match power_limit with
-          | Some _ as explicit -> explicit
-          | None -> if power then Some (Flow.default_power_limit soc) else None
-        in
-        let constraints =
-          Constraint_def.of_soc soc ~max_preemptions:max_preempts
-            ?power_limit ()
-        in
+        let constraints = constraints_of ?power_limit ~power ~preempt soc in
         let spec =
           Soctest_check.Audit.spec ~wmax ~require_complete:(not partial)
             constraints
@@ -938,10 +845,11 @@ let check_cmd =
         let report = Soctest_check.Audit.run soc spec sched in
         if Soctest_check.Audit.ok report then
           Printf.printf
-            "%s: audit clean for %s (W=%d, makespan %d, %d checks over %d \
-             slices)\n"
+            "%s: audit clean for %s (W=%d, makespan %d, utilization %.1f%%, \
+             %d checks over %d slices)\n"
             file soc.Soc_def.name sched.Soctest_tam.Schedule.tam_width
             report.Soctest_check.Audit.makespan
+            (100. *. Soctest_tam.Schedule.utilization sched)
             report.Soctest_check.Audit.checks_run
             report.Soctest_check.Audit.slices_audited
         else begin
@@ -963,8 +871,8 @@ let check_cmd =
           constraints and tester-image totals.")
     Term.(
       ret
-        (const run $ soc_arg ~default:"d695" $ file $ power $ power_limit
-       $ preempt $ wmax $ partial))
+        (const run $ soc_arg ~default:"d695" $ file $ power_arg $ power_limit
+       $ preempt_arg $ wmax $ partial))
 
 (* ------------------------------------------------------------------ *)
 (* serve: the concurrent scheduling service *)
@@ -2273,18 +2181,6 @@ let synth_cmd =
        $ bist $ out))
 
 let pack_bench_cmd =
-  let preempt =
-    Arg.(
-      value & opt int 0
-      & info [ "preempt" ] ~docv:"N"
-          ~doc:"Allow N preemptions on the larger cores.")
-  in
-  let power =
-    Arg.(
-      value & flag
-      & info [ "power" ]
-          ~doc:"Apply the default power limit (1.5x the largest core).")
-  in
   let node_limit =
     Arg.(
       value & opt int 2_000_000
@@ -2306,16 +2202,7 @@ let pack_bench_cmd =
   let run soc width power preempt node_limit bnb_max_cores out =
     wrap (fun () ->
         let soc = load_soc soc in
-        let max_preempts =
-          if preempt > 0 then Flow.preemption_budget soc ~limit:preempt
-          else []
-        in
-        let constraints =
-          Constraint_def.of_soc soc ~max_preemptions:max_preempts
-            ?power_limit:
-              (if power then Some (Flow.default_power_limit soc) else None)
-            ()
-        in
+        let constraints = constraints_of ~power ~preempt soc in
         let engine = Engine.create () in
         let prepared = Engine.prepare engine soc in
         let wmax = Optimizer.wmax_of prepared in
@@ -2447,7 +2334,7 @@ let pack_bench_cmd =
     Term.(
       ret
         (const run $ soc_arg ~default:"mini4" $ width_arg ~default:16
-       $ power $ preempt $ node_limit $ bnb_max_cores $ out))
+       $ power_arg $ preempt_arg $ node_limit $ bnb_max_cores $ out))
 
 let main_cmd =
   let doc =
@@ -2459,7 +2346,7 @@ let main_cmd =
     [
       table1_cmd; table2_cmd; fig1_cmd; fig2_cmd; fig9_cmd; ablate_cmd;
       all_cmd; soc_info_cmd; schedule_cmd; export_cmd; extras_cmd; verilog_cmd;
-      validate_cmd; check_cmd; stil_cmd; sweep_cmd; portfolio_cmd;
+      check_cmd; stil_cmd; sweep_cmd; portfolio_cmd;
       synth_cmd; pack_bench_cmd;
       serve_cmd; bench_serve_cmd; jobs_cmd; debug_cmd; store_cmd;
     ]

@@ -66,12 +66,15 @@ let () =
     Optimizer.best_over_params sub_prepared ~tam_width:16
       ~constraints:sub_constraints ()
   in
-  let exact = Exact.solve ~node_limit:2_000_000 sub_prepared ~tam_width:16 in
+  let exact =
+    Bnb.solve ~node_limit:2_000_000 sub_prepared ~tam_width:16
+      ~constraints:sub_constraints
+  in
   Printf.printf
     "\n5-core sub-SOC at W=16: heuristic %d vs exact %d (%s, %d B&B nodes)\n"
-    sub_grid.Optimizer.testing_time exact.Exact.testing_time
-    (if exact.Exact.optimal then "proved optimal" else "budget hit")
-    exact.Exact.nodes;
+    sub_grid.Optimizer.testing_time exact.Bnb.testing_time
+    (if exact.Bnb.optimal then "proved optimal" else "budget hit")
+    exact.Bnb.nodes;
   Printf.printf
     "\nTakeaway: the paper's greedy+grid lands within a few %% of optimal;\n\
      width-vector search (polish/annealing) closes part of the rest at\n\

@@ -12,7 +12,14 @@
     time "increases exponentially with the number of TAMs"; this module
     reproduces that trade-off: exact optima on small SOCs (up to ~6-8
     cores), exponential blow-up beyond, against the heuristic's
-    milliseconds. *)
+    milliseconds.
+
+    {b Test oracle only.} The production exact solver is
+    {!Soctest_pack.Bnb} (the portfolio's [exact-bnb], the exact-gap
+    experiment). This constraint-blind search is kept as the independent
+    reference the tests check [Bnb]'s optima against, the way
+    [Soctest_check.Ref_alloc] is kept for the wire allocator; no
+    production code calls it. *)
 
 type outcome = {
   testing_time : int;

@@ -9,24 +9,22 @@ type spec = {
   soc : Soc_def.t;
   tam_width : int;
   constraints : Constraint_def.t;
-  params : Optimizer.params;
 }
 
-let spec ?constraints ?(params = Optimizer.default_params) soc ~tam_width =
-  let constraints =
-    match constraints with
-    | Some c -> c
-    | None -> Constraint_def.empty ~core_count:(Soc_def.core_count soc)
-  in
-  { soc; tam_width; constraints; params }
+let constraints_or_empty soc = function
+  | Some c -> c
+  | None -> Constraint_def.empty ~core_count:(Soc_def.core_count soc)
+
+let spec ?constraints soc ~tam_width =
+  { soc; tam_width; constraints = constraints_or_empty soc constraints }
 
 let engine_or_fresh = function Some e -> e | None -> Engine.create ()
 
-let solve ?engine { soc; tam_width; constraints; params } =
+(* [Engine.request]'s defaults are [Optimizer.default_params]' wmax and
+   knobs: one default-parameter evaluation *)
+let solve ?engine { soc; tam_width; constraints } =
   let engine = engine_or_fresh engine in
-  (Engine.solve engine
-     (Engine.request ~wmax:params.Optimizer.wmax
-        ~grid:(Engine.point_grid ~params ()) soc ~tam_width ~constraints ()))
+  (Engine.solve engine (Engine.request soc ~tam_width ~constraints ()))
     .Engine.result
 
 type sweep_spec = {
@@ -34,33 +32,23 @@ type sweep_spec = {
   widths : int list;
   alphas : float list;
   constraints : Constraint_def.t;
-  params : Optimizer.params;
 }
 
-let sweep_spec ?constraints ?(params = Optimizer.default_params) soc ~widths
-    ~alphas =
-  let constraints =
-    match constraints with
-    | Some c -> c
-    | None -> Constraint_def.empty ~core_count:(Soc_def.core_count soc)
-  in
-  { soc; widths; alphas; constraints; params }
+let sweep_spec ?constraints soc ~widths ~alphas =
+  { soc; widths; alphas; constraints = constraints_or_empty soc constraints }
 
 type p3_result = {
   points : Volume.point list;
   evaluations : Cost.evaluation list;
 }
 
-let solve_sweep ?engine { soc; widths; alphas; constraints; params } =
+let solve_sweep ?engine { soc; widths; alphas; constraints } =
   let engine = engine_or_fresh engine in
   let widths = List.sort_uniq compare widths in
   let outcomes =
     Engine.solve_many engine
       (List.map
-         (fun width ->
-           Engine.request ~wmax:params.Optimizer.wmax
-             ~grid:(Engine.point_grid ~params ()) soc ~tam_width:width
-             ~constraints ())
+         (fun width -> Engine.request soc ~tam_width:width ~constraints ())
          widths)
   in
   let points =
@@ -91,3 +79,10 @@ let preemption_budget soc ~limit =
   List.filter_map
     (fun (id, v) -> if v >= median then Some (id, limit) else None)
     volumes
+
+let constraints ?power_limit ?(preempt = 0) soc =
+  if preempt < 0 then invalid_arg "Flow.constraints: preempt must be >= 0";
+  let max_preemptions =
+    if preempt > 0 then preemption_budget soc ~limit:preempt else []
+  in
+  Constraint_def.of_soc soc ?power_limit ~max_preemptions ()

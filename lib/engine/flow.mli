@@ -20,36 +20,31 @@ type spec = {
   soc : Soctest_soc.Soc_def.t;
   tam_width : int;
   constraints : Soctest_constraints.Constraint_def.t;
-  params : Optimizer.params;
 }
-(** One labeled record instead of the old [?params ... unit ->] optional
-    tails. Build with {!spec}. *)
+(** Build with {!spec}. *)
 
 val spec :
   ?constraints:Soctest_constraints.Constraint_def.t ->
-  ?params:Optimizer.params ->
   Soctest_soc.Soc_def.t ->
   tam_width:int ->
   spec
 (** [constraints] defaults to
     [Constraint_def.empty ~core_count:(Soc_def.core_count soc)] (Problem
-    1); [params] to {!Optimizer.default_params}. *)
+    1). *)
 
 val solve : ?engine:Engine.t -> spec -> Optimizer.result
-(** A fresh engine is created when [engine] is omitted (no caching
-    across calls). *)
+(** One evaluation at {!Optimizer.default_params}. A fresh engine is
+    created when [engine] is omitted (no caching across calls). *)
 
 type sweep_spec = {
   soc : Soctest_soc.Soc_def.t;
   widths : int list;
   alphas : float list;
   constraints : Soctest_constraints.Constraint_def.t;
-  params : Optimizer.params;
 }
 
 val sweep_spec :
   ?constraints:Soctest_constraints.Constraint_def.t ->
-  ?params:Optimizer.params ->
   Soctest_soc.Soc_def.t ->
   widths:int list ->
   alphas:float list ->
@@ -75,3 +70,16 @@ val preemption_budget :
   Soctest_soc.Soc_def.t -> limit:int -> (int * int) list
 (** The paper's Table-1 preemption setting: allow [limit] preemptions for
     the "larger cores" — those with above-median test data volume. *)
+
+val constraints :
+  ?power_limit:int ->
+  ?preempt:int ->
+  Soctest_soc.Soc_def.t ->
+  Soctest_constraints.Constraint_def.t
+(** The constraint set behind the CLI's [--power]/[--preempt] and the
+    HTTP [power_limit]/[preempt] fields:
+    {!Soctest_constraints.Constraint_def.of_soc} (hierarchy and BIST
+    exclusions) with [power_limit] (default none) and, when [preempt > 0],
+    {!preemption_budget} [~limit:preempt]. [preempt] defaults to 0, which
+    forbids preemption on every core.
+    @raise Invalid_argument if [preempt < 0]. *)

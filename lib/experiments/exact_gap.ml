@@ -1,7 +1,7 @@
 module Soc_def = Soctest_soc.Soc_def
 module Core_def = Soctest_soc.Core_def
 module O = Soctest_core.Optimizer
-module Exact = Soctest_baselines.Exact
+module Bnb = Soctest_pack.Bnb
 module Constraint_def = Soctest_constraints.Constraint_def
 
 type row = {
@@ -40,22 +40,17 @@ let run ?soc ?(core_counts = [ 2; 3; 4; 5; 6 ]) ?(tam_width = 16)
         (O.best_over_params prepared ~tam_width ~constraints ())
           .O.testing_time
       in
-      let e =
-        Exact.solve ~node_limit ~upper_bound:(heuristic + 1) prepared
-          ~tam_width
-      in
+      let e = Bnb.solve ~node_limit prepared ~tam_width ~constraints in
+      let exact = min heuristic e.Bnb.testing_time in
       {
         cores = n;
         tam_width;
         heuristic;
-        exact = min heuristic e.Exact.testing_time;
-        optimal = e.Exact.optimal;
-        nodes = e.Exact.nodes;
+        exact;
+        optimal = e.Bnb.optimal;
+        nodes = e.Bnb.nodes;
         gap_percent =
-          (let exact = min heuristic e.Exact.testing_time in
-           100.
-           *. float_of_int (heuristic - exact)
-           /. float_of_int exact);
+          100. *. float_of_int (heuristic - exact) /. float_of_int exact;
       })
     core_counts
 

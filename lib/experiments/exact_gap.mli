@@ -16,6 +16,11 @@ type row = {
   gap_percent : float;  (** (heuristic - exact) / exact * 100 *)
 }
 
+val prefix : Soctest_soc.Soc_def.t -> int -> Soctest_soc.Soc_def.t
+(** [prefix soc n]: the first [n] cores of [soc], rebuilt from their
+    test parameters alone (no hierarchy, no BIST engines) — the
+    sub-SOCs {!run} solves. *)
+
 val run :
   ?soc:Soctest_soc.Soc_def.t ->
   ?core_counts:int list ->

@@ -99,6 +99,21 @@ let parse_obj body =
 
 let decode f body = try Ok (f (parse_obj body)) with Bad msg -> Error msg
 
+(* The constraint and Pareto knobs every request kind carries, validated
+   the same way for /v1/solve and /v1/check. *)
+let limits_of obj =
+  let power_limit = opt_int_field obj "power_limit" in
+  (match power_limit with
+  | Some p when p < 1 -> bad "\"power_limit\" must be >= 1"
+  | _ -> ());
+  let preempt = opt_int_field obj "preempt" in
+  (match preempt with
+  | Some p when p < 0 -> bad "\"preempt\" must be >= 0"
+  | _ -> ());
+  let wmax = int_field ~default:64 obj "wmax" in
+  if wmax < 1 then bad "\"wmax\" must be >= 1";
+  (power_limit, preempt, wmax)
+
 let solve_request_of_body =
   decode @@ fun obj ->
   let soc, soc_source = soc_of obj in
@@ -125,16 +140,7 @@ let solve_request_of_body =
   (match budget_ms with
   | Some ms when ms < 0. -> bad "\"budget_ms\" must be >= 0"
   | _ -> ());
-  let power_limit = opt_int_field obj "power_limit" in
-  (match power_limit with
-  | Some p when p < 1 -> bad "\"power_limit\" must be >= 1"
-  | _ -> ());
-  let preempt = opt_int_field obj "preempt" in
-  (match preempt with
-  | Some p when p < 0 -> bad "\"preempt\" must be >= 0"
-  | _ -> ());
-  let wmax = int_field ~default:64 obj "wmax" in
-  if wmax < 1 then bad "\"wmax\" must be >= 1";
+  let power_limit, preempt, wmax = limits_of obj in
   let max_width = opt_int_field obj "max_width" in
   (match max_width with
   | Some w when w < 1 -> bad "\"max_width\" must be >= 1"
@@ -169,13 +175,7 @@ let check_request_of_body =
     | exception Schedule_io.Parse_error e ->
       bad "schedule_text: %s" (Format.asprintf "%a" Schedule_io.pp_error e)
   in
-  let power_limit = opt_int_field obj "power_limit" in
-  (match power_limit with
-  | Some p when p < 1 -> bad "\"power_limit\" must be >= 1"
-  | _ -> ());
-  let preempt = opt_int_field obj "preempt" in
-  let wmax = int_field ~default:64 obj "wmax" in
-  if wmax < 1 then bad "\"wmax\" must be >= 1";
+  let power_limit, preempt, wmax = limits_of obj in
   let partial = bool_field ~default:false obj "partial" in
   { soc; soc_source; schedule; power_limit; preempt; wmax; partial }
 

@@ -418,13 +418,8 @@ let constraints_of_solve (req : Protocol.solve_request) =
   | Protocol.P1 ->
     Constraint_def.empty ~core_count:(Soc_def.core_count req.soc)
   | Protocol.P2 | Protocol.P3 ->
-    let max_preemptions =
-      match req.preempt with
-      | Some limit -> Flow.preemption_budget req.soc ~limit
-      | None -> []
-    in
-    Constraint_def.of_soc req.soc ?power_limit:req.power_limit
-      ~max_preemptions ()
+    Flow.constraints ?power_limit:req.power_limit ?preempt:req.preempt
+      req.soc
 
 let grid_of = function
   | Protocol.Point -> Engine.point_grid ()
@@ -453,10 +448,12 @@ let note_engine_phases ctx (s : Engine.stats) =
   add_phase ctx "disk_audit" probe;
   add_phase ctx "solve" solve
 
-let note_tier ctx (s : Engine.stats) =
+(* A request's tier is its most expensive constituent solve. *)
+let note_tier ctx (outcomes : Engine.outcome list) =
+  let any f = List.exists (fun (o : Engine.outcome) -> f o.Engine.stats > 0) in
   ctx.tier <-
-    (if s.Engine.eval_computed > 0 then "solve"
-     else if s.Engine.eval_from_store > 0 then "store"
+    (if any (fun s -> s.Engine.eval_computed) outcomes then "solve"
+     else if any (fun s -> s.Engine.eval_from_store) outcomes then "store"
      else "memory")
 
 (* Store-audit outcome flags, from the engine's tier counters around
@@ -542,7 +539,7 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
       with_store_flags t ctx (fun () -> solve ~tam_width:req.tam_width)
     in
     note_engine_phases ctx outcome.Engine.stats;
-    note_tier ctx outcome.Engine.stats;
+    note_tier ctx [ outcome ];
     (match outcome.Engine.status with
     | Engine.Deadline -> Obs.incr deadline_c
     | Engine.Complete -> ());
@@ -584,33 +581,12 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
     let widths = List.init max_width (fun i -> i + 1) in
     let outcomes =
       with_store_flags t ctx (fun () ->
-          match req.strategy with
-          | Protocol.Point | Protocol.Grid ->
-            Engine.solve_many t.engine_
-              (List.map
-                 (fun w ->
-                   Engine.request req.soc ~tam_width:w ~constraints
-                     ~wmax:req.wmax ~grid:(grid_of req.strategy) ~budget ())
-                 widths)
-          | Protocol.Rectpack | Protocol.Rectpack_diag ->
-            List.map (fun w -> solve ~tam_width:w) widths)
+          List.map (fun w -> solve ~tam_width:w) widths)
     in
     List.iter (fun (o : Engine.outcome) ->
         note_engine_phases ctx o.Engine.stats)
       outcomes;
-    (* the sweep's tier is its most expensive constituent *)
-    let summed =
-      List.fold_left
-        (fun (c, s) (o : Engine.outcome) ->
-          ( c + o.Engine.stats.Engine.eval_computed,
-            s + o.Engine.stats.Engine.eval_from_store ))
-        (0, 0) outcomes
-    in
-    (ctx.tier <-
-       (match summed with
-       | c, _ when c > 0 -> "solve"
-       | _, s when s > 0 -> "store"
-       | _ -> "memory"));
+    note_tier ctx outcomes;
     if List.exists (fun o -> o.Engine.status = Engine.Deadline) outcomes
     then Obs.incr deadline_c;
     let points =
@@ -642,14 +618,8 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
 let handle_check t ctx (req : Protocol.check_request) =
   let constraints =
     phase ctx "prep" (fun () ->
-        let max_preemptions =
-          match req.preempt with
-          | Some limit when limit >= 0 ->
-            Flow.preemption_budget req.soc ~limit
-          | _ -> []
-        in
-        Constraint_def.of_soc req.soc ?power_limit:req.power_limit
-          ~max_preemptions ())
+        Flow.constraints ?power_limit:req.power_limit ?preempt:req.preempt
+          req.soc)
   in
   let spec =
     Engine.audit_spec t.engine_ ~wmax:req.wmax

@@ -25,7 +25,7 @@
       audited responses
 
     {2 Baselines}
-    - {!Serial}, {!Session}, {!Shelf}, {!Fixed_width}, {!Exact}
+    - {!Serial}, {!Session}, {!Shelf}, {!Fixed_width}
 
     {2 Rectangle bin packing}
     - {!Pack_model}, {!Pack_skyline} — rectangle menus and the skyline
@@ -97,7 +97,6 @@ module Serial = Soctest_baselines.Serial
 module Session = Soctest_baselines.Session
 module Shelf = Soctest_baselines.Shelf
 module Fixed_width = Soctest_baselines.Fixed_width
-module Exact = Soctest_baselines.Exact
 
 module Pack_model = Soctest_pack.Model
 module Pack_skyline = Soctest_pack.Skyline

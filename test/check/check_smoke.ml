@@ -1,8 +1,8 @@
 (* Check smoke: audit real solver output on every benchmark SOC.
 
    Each scenario solves through the same entry points the examples and
-   experiments use (Flow.solve over the Engine; Strategy for baselines
-   and the exact solver) and then re-derives every schedule invariant
+   experiments use (Flow.solve over the Engine; Strategy for baselines;
+   the exact oracle directly) and then re-derives every schedule invariant
    with Audit.run. Exercised by `dune build @check-smoke` (pulled into
    @bench alongside @obs-smoke and @engine-smoke). *)
 
@@ -14,6 +14,8 @@ module O = Soctest_core.Optimizer
 module Flow = Soctest_engine.Flow
 module Strategy = Soctest_portfolio.Strategy
 module Schedule = Soctest_tam.Schedule
+module Exact = Soctest_baselines.Exact
+module Conflict = Soctest_constraints.Conflict
 
 let failures = ref 0
 let audited = ref 0
@@ -75,7 +77,7 @@ let flow_scenarios () =
         mini4 ~tam_width:w ~constraints:(C.of_soc mini4 ()))
     [ 4; 6; 12 ]
 
-(* Baselines and the exact branch-and-bound — once on mini4 under its
+(* Baselines and the constraint-blind exact oracle — once on mini4 under its
    own exclusions (constraint-blind strategies may be rejected: mini4's
    shared BIST engine excludes cores 2 and 3 regardless of the
    constraint set) and once on a BIST- and hierarchy-free synthesized
@@ -85,11 +87,7 @@ let strategy_scenarios ~variant soc constraints =
   let wmax = 16 in
   let tam_width = 8 in
   let prepared = O.prepare ~wmax soc in
-  let strategies =
-    Strategy.baselines prepared ~tam_width ~constraints
-    @ Strategy.exact ~max_cores:4 ~node_limit:100_000 prepared ~tam_width
-        ~constraints
-  in
+  let strategies = Strategy.baselines prepared ~tam_width ~constraints in
   List.iter
     (fun (s : Strategy.t) ->
       match s.Strategy.run () with
@@ -102,7 +100,16 @@ let strategy_scenarios ~variant soc constraints =
         (* a rejected run produces no schedule to audit *)
         Printf.printf "check smoke skip: %s %s (rejected: %s)\n" variant
           s.Strategy.name why)
-    strategies
+    strategies;
+  let exact = Exact.solve ~node_limit:100_000 prepared ~tam_width in
+  match Conflict.validate soc constraints exact.Exact.schedule with
+  | [] ->
+    audit
+      ~label:(Printf.sprintf "%s exact" variant)
+      soc ~wmax ~tam_width ~constraints exact.Exact.schedule
+  | v :: _ ->
+    Format.printf "check smoke skip: %s exact (rejected: %a)@." variant
+      Conflict.pp_violation v
 
 let () =
   let mini4 = Benchmarks.mini4 () in

@@ -17,6 +17,8 @@ module O = Soctest_core.Optimizer
 module Lower_bound = Soctest_core.Lower_bound
 module Strategy = Soctest_portfolio.Strategy
 module Schedule = Soctest_tam.Schedule
+module Exact = Soctest_baselines.Exact
+module Conflict = Soctest_constraints.Conflict
 
 let cases = 220
 
@@ -87,8 +89,6 @@ let strategies d prepared =
       ];
       Strategy.baselines prepared ~tam_width:d.tam_width
         ~constraints:d.constraints;
-      Strategy.exact ~max_cores:4 ~node_limit:20_000 prepared
-        ~tam_width:d.tam_width ~constraints:d.constraints;
     ]
 
 let test_fuzz () =
@@ -112,7 +112,7 @@ let test_fuzz () =
           match s.Strategy.run () with
           | outcome -> Some (s, outcome)
           | exception Strategy.Rejected _ ->
-            (* baselines/exact schedule constraint-blind; a rejected
+            (* baselines schedule constraint-blind; a rejected
                schedule never reaches the race, so nothing to audit *)
             incr rejected;
             None
@@ -127,44 +127,49 @@ let test_fuzz () =
       Alcotest.failf "case %d (%s): every strategy failed" case
         d.soc.Soc_def.name;
     incr socs_audited;
+    let audit name sched span =
+      let report = Audit.run d.soc spec sched in
+      incr schedules_audited;
+      if not (Audit.ok report) then
+        Alcotest.failf "case %d (%s, W=%d, wmax=%d), strategy %s: %a" case
+          d.soc.Soc_def.name d.tam_width d.wmax name Audit.pp_report report;
+      Alcotest.(check bool)
+        (Printf.sprintf "case %d %s: makespan %d >= LB %d" case name span lb)
+        true (span >= lb);
+      Alcotest.(check int)
+        (Printf.sprintf "case %d %s: reported time is the makespan" case name)
+        (Schedule.makespan sched) span
+    in
     List.iter
       (fun ((s : Strategy.t), (o : Strategy.outcome)) ->
-        let sched = o.Strategy.solution.Strategy.schedule in
-        let report = Audit.run d.soc spec sched in
-        incr schedules_audited;
-        if not (Audit.ok report) then
-          Alcotest.failf "case %d (%s, W=%d, wmax=%d), strategy %s: %a"
-            case d.soc.Soc_def.name d.tam_width d.wmax s.Strategy.name
-            Audit.pp_report report;
-        let span = o.Strategy.solution.Strategy.testing_time in
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d %s: makespan %d >= LB %d" case
-             s.Strategy.name span lb)
-          true (span >= lb);
-        Alcotest.(check int)
-          (Printf.sprintf "case %d %s: reported time is the makespan" case
-             s.Strategy.name)
-          (Schedule.makespan sched) span)
+        audit s.Strategy.name o.Strategy.solution.Strategy.schedule
+          o.Strategy.solution.Strategy.testing_time)
       outcomes;
-    (* cross-check strategies against each other: on truly
-       unconstrained instances the exact optimum dominates everything *)
-    (match
-       List.find_opt
-         (fun ((s : Strategy.t), _) -> s.Strategy.kind = Strategy.Exact)
-         outcomes
-     with
-    | Some (_, exact) when d.unconstrained ->
-      incr exact_checked;
-      let opt = exact.Strategy.solution.Strategy.testing_time in
-      List.iter
-        (fun ((s : Strategy.t), (o : Strategy.outcome)) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "case %d: exact %d <= %s %d" case opt
-               s.Strategy.name o.Strategy.solution.Strategy.testing_time)
-            true
-            (opt <= o.Strategy.solution.Strategy.testing_time))
-        outcomes
-    | _ -> ())
+    (* the constraint-blind exact oracle, on SOCs small enough for it:
+       audited like a strategy when its schedule happens to satisfy the
+       constraints, and on truly unconstrained instances its optimum
+       must dominate every strategy *)
+    if Soc_def.core_count d.soc <= 4 then begin
+      let exact =
+        Exact.solve ~node_limit:20_000 prepared ~tam_width:d.tam_width
+      in
+      match Conflict.validate d.soc d.constraints exact.Exact.schedule with
+      | _ :: _ -> incr rejected
+      | [] ->
+        audit "exact" exact.Exact.schedule exact.Exact.testing_time;
+        if d.unconstrained then begin
+          incr exact_checked;
+          let opt = exact.Exact.testing_time in
+          List.iter
+            (fun ((s : Strategy.t), (o : Strategy.outcome)) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "case %d: exact %d <= %s %d" case opt
+                   s.Strategy.name o.Strategy.solution.Strategy.testing_time)
+                true
+                (opt <= o.Strategy.solution.Strategy.testing_time))
+            outcomes
+        end
+    end
   done;
   Alcotest.(check bool)
     (Printf.sprintf "audited %d SOCs (>= 200)" !socs_audited)

@@ -2,6 +2,8 @@
    memory, compression, multisite, hardware). *)
 
 module EG = Soctest_experiments.Exact_gap
+module Exact = Soctest_baselines.Exact
+module Optimizer = Soctest_core.Optimizer
 module TE = Soctest_experiments.Tester_exp
 module HE = Soctest_experiments.Hardware_exp
 module TI = Soctest_tester.Tester_image
@@ -9,17 +11,34 @@ module MS = Soctest_tester.Multisite
 
 let contains = Test_helpers.contains_substring
 
+(* Each row's optimum is checked against the constraint-blind exact
+   oracle on the same prefix, so a change of exact solver cannot move a
+   figure of the table unnoticed. *)
 let test_exact_gap () =
   let rows =
-    EG.run ~core_counts:[ 2; 3 ] ~tam_width:8 ~node_limit:200_000 ()
+    EG.run ~core_counts:[ 2; 3; 4 ] ~tam_width:8 ~node_limit:200_000 ()
   in
-  Alcotest.(check int) "two rows" 2 (List.length rows);
+  Alcotest.(check int) "three rows" 3 (List.length rows);
   List.iter
     (fun r ->
       Alcotest.(check bool) "exact <= heuristic" true
         (r.EG.exact <= r.EG.heuristic);
       Alcotest.(check bool) "gap non-negative" true (r.EG.gap_percent >= 0.);
-      Alcotest.(check bool) "nodes counted" true (r.EG.nodes > 0))
+      Alcotest.(check bool) "nodes counted" true (r.EG.nodes > 0);
+      let oracle =
+        Exact.solve ~node_limit:200_000
+          (Optimizer.prepare (EG.prefix (Test_helpers.d695 ()) r.EG.cores))
+          ~tam_width:8
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d cores: oracle proved optimal" r.EG.cores)
+        true oracle.Exact.optimal;
+      Alcotest.(check int)
+        (Printf.sprintf "%d cores: exact = oracle" r.EG.cores)
+        oracle.Exact.testing_time r.EG.exact;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d cores: optimal = oracle" r.EG.cores)
+        oracle.Exact.optimal r.EG.optimal)
     rows;
   Alcotest.(check bool) "renders" true
     (String.length (EG.to_table rows) > 0)

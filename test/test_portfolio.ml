@@ -185,12 +185,19 @@ let test_zero_deadline_skips_everything () =
 let test_exact_gating () =
   let prepared = Lazy.force prep_d695 in
   let constraints = unconstrained (Lazy.force d695) in
-  Alcotest.(check int) "exact gated out on 10 cores" 0
-    (List.length (Strategy.exact prepared ~tam_width:16 ~constraints));
+  Alcotest.(check int) "exact-bnb gated out on 10 cores" 0
+    (List.length
+       (Strategy.exact_bnb ~max_cores:6 prepared ~tam_width:16 ~constraints));
+  Alcotest.(check int) "exact-bnb allowed on 10 cores by default" 1
+    (List.length (Strategy.exact_bnb prepared ~tam_width:16 ~constraints));
   let mini_prep = Lazy.force prep_mini4 in
   let mini_constraints = unconstrained (Lazy.force mini4) in
-  Alcotest.(check int) "exact allowed on 4 cores" 1
-    (List.length (Strategy.exact mini_prep ~tam_width:16 ~constraints:mini_constraints))
+  Alcotest.(check int) "exact-bnb allowed on 4 cores" 1
+    (List.length
+       (Strategy.exact_bnb ~max_cores:6 mini_prep ~tam_width:16
+          ~constraints:mini_constraints));
+  Alcotest.(check bool) "no constraint-blind exact kind" true
+    (Strategy.kind_of_string "exact" = None)
 
 let test_telemetry_outputs () =
   let r =

@@ -249,7 +249,18 @@ let test_live_check_endpoint () =
   let audit = member "audit" (Client.json_body strict) in
   Alcotest.(check bool)
     "not clean" true
-    (member "clean" audit = Json.Bool false)
+    (member "clean" audit = Json.Bool false);
+  (* the constraint knobs are validated as /v1/solve validates them *)
+  let negative =
+    Client.post ~port
+      ~body:(body ~extra:[ ("preempt", Json.Int (-1)) ] ())
+      "/v1/check"
+  in
+  Alcotest.(check int) "negative preempt -> 400" 400 negative.Client.status;
+  Alcotest.(check bool)
+    "names the field" true
+    (Test_helpers.contains_substring negative.Client.body
+       {|\"preempt\" must be >= 0|})
 
 let test_live_admission_control () =
   (* one worker, queue depth 1: a stalled solve fills the window and the
