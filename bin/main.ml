@@ -450,12 +450,12 @@ let sweep_cmd =
   let run soc_name max_width csv trace metrics obs_summary =
     wrap (fun () ->
         with_obs ~trace ~metrics ~summary:obs_summary @@ fun () ->
+        if max_width < 1 then failwith "--max-width must be >= 1";
         let soc = load_soc soc_name in
         let points =
-          (Flow.solve_sweep
-             (Flow.sweep_spec soc
-                ~widths:(List.init max_width (fun k -> k + 1))
-                ~alphas:[]))
+          (Flow.solve_sweep soc
+             ~widths:(List.init max_width (fun k -> k + 1))
+             ~alphas:[])
             .Flow.points
         in
         let front = Soctest_core.Volume.pareto_front points in
@@ -728,7 +728,7 @@ let schedule_cmd =
         let engine = Engine.create ?store:(open_store store) () in
         let r, budget_note =
           match budget_ms with
-          | None -> (Flow.solve ~engine (Flow.spec ~constraints soc ~tam_width:width), None)
+          | None -> (Flow.solve ~engine ~constraints soc ~tam_width:width, None)
           | Some ms ->
             let o =
               Engine.solve engine
@@ -755,11 +755,8 @@ let schedule_cmd =
             (Engine.prepare engine soc) ~tam_width:width ~constraints
         in
         Printf.printf "lower bound %d cycles, gap %.1f%%\n" lb
-          (if lb > 0 then
-             100.
-             *. float_of_int (r.Optimizer.testing_time - lb)
-             /. float_of_int lb
-           else 0.);
+          (Soctest_core.Lower_bound.gap_pct ~lower_bound:lb
+             r.Optimizer.testing_time);
         Option.iter (Printf.printf "(%s)\n") budget_note;
         (match Engine.store engine with
         | None -> ()
@@ -2205,16 +2202,14 @@ let pack_bench_cmd =
         let constraints = constraints_of ~power ~preempt soc in
         let engine = Engine.create () in
         let prepared = Engine.prepare engine soc in
-        let wmax = Optimizer.wmax_of prepared in
         let lb =
           Soctest_core.Lower_bound.compute_constrained prepared
             ~tam_width:width ~constraints
         in
         (* every schedule in the record has passed the full audit *)
         let audit_spec =
-          Soctest_check.Audit.spec ~wmax ~expect_tam_width:width
-            ~pareto:(Engine.pareto engine ~wmax)
-            constraints
+          Engine.audit_spec engine ~wmax:(Optimizer.wmax_of prepared)
+            ~expect_tam_width:width constraints
         in
         let audit name sched =
           let rep = Soctest_check.Audit.run soc audit_spec sched in
@@ -2223,21 +2218,27 @@ let pack_bench_cmd =
               (Format.asprintf "%s: audit failed: %a" name
                  Soctest_check.Audit.pp_report rep)
         in
-        let heuristic =
-          Flow.solve ~engine (Flow.spec ~constraints soc ~tam_width:width)
+        (* (name, time, extra JSON fields) per strategy, in record order *)
+        let solved =
+          List.map
+            (fun (name, strategy) ->
+              let r =
+                (Engine.solve engine
+                   {
+                     (Engine.request soc ~tam_width:width ~constraints ())
+                     with
+                     strategy;
+                   })
+                  .Engine.result
+              in
+              audit name r.Optimizer.schedule;
+              (name, r.Optimizer.testing_time, []))
+            [
+              ("heuristic", Engine.Search Engine.point_grid);
+              ("rectpack", Engine.Pack Soctest_pack.Rectpack.Plain);
+              ("rectpack-diagonal", Engine.Pack Soctest_pack.Rectpack.Diagonal);
+            ]
         in
-        audit "heuristic" heuristic.Optimizer.schedule;
-        let rp =
-          Soctest_pack.Rectpack.schedule ~order:Soctest_pack.Rectpack.Plain
-            prepared ~tam_width:width ~constraints
-        in
-        audit "rectpack" rp.Soctest_pack.Rectpack.schedule;
-        let rd =
-          Soctest_pack.Rectpack.schedule
-            ~order:Soctest_pack.Rectpack.Diagonal prepared ~tam_width:width
-            ~constraints
-        in
-        audit "rectpack-diagonal" rd.Soctest_pack.Rectpack.schedule;
         let bnb =
           if Soc_def.core_count soc <= bnb_max_cores then begin
             let o =
@@ -2255,10 +2256,8 @@ let pack_bench_cmd =
             Some o.Soctest_pack.Bnb.testing_time
           | _ -> None
         in
-        let pct over t =
-          Json.Float
-            (if over > 0 then 100. *. float_of_int (t - over) /. float_of_int over
-             else 0.)
+        let pct lower_bound t =
+          Json.Float (Soctest_core.Lower_bound.gap_pct ~lower_bound t)
         in
         let entry ?(extra = []) t =
           Json.Obj
@@ -2268,21 +2267,26 @@ let pack_bench_cmd =
               | None -> [])
             @ extra)
         in
-        let times =
-          [
-            ("heuristic", heuristic.Optimizer.testing_time);
-            ("rectpack", rp.Soctest_pack.Rectpack.testing_time);
-            ("rectpack-diagonal", rd.Soctest_pack.Rectpack.testing_time);
-          ]
-          @ (match bnb with
-            | Some o -> [ ("exact-bnb", o.Soctest_pack.Bnb.testing_time) ]
-            | None -> [])
+        let entries =
+          solved
+          @
+          match bnb with
+          | Some o ->
+            [
+              ( "exact-bnb",
+                o.Soctest_pack.Bnb.testing_time,
+                [
+                  ("optimal", Json.Bool o.Soctest_pack.Bnb.optimal);
+                  ("nodes", Json.Int o.Soctest_pack.Bnb.nodes);
+                ] );
+            ]
+          | None -> []
         in
-        let winner =
-          fst
-            (List.fold_left
-               (fun (bn, bt) (n, t) -> if t < bt then (n, t) else (bn, bt))
-               ("heuristic", max_int) times)
+        let winner, _, _ =
+          List.fold_left
+            (fun ((_, bt, _) as best) ((_, t, _) as e) ->
+              if t < bt then e else best)
+            ("heuristic", max_int, []) entries
         in
         let record =
           Json.Obj
@@ -2293,26 +2297,8 @@ let pack_bench_cmd =
               ("lower_bound", Json.Int lb);
               ( "strategies",
                 Json.Obj
-                  ([
-                     ("heuristic", entry heuristic.Optimizer.testing_time);
-                     ("rectpack", entry rp.Soctest_pack.Rectpack.testing_time);
-                     ( "rectpack-diagonal",
-                       entry rd.Soctest_pack.Rectpack.testing_time );
-                   ]
-                  @
-                  match bnb with
-                  | Some o ->
-                    [
-                      ( "exact-bnb",
-                        entry
-                          ~extra:
-                            [
-                              ("optimal", Json.Bool o.Soctest_pack.Bnb.optimal);
-                              ("nodes", Json.Int o.Soctest_pack.Bnb.nodes);
-                            ]
-                          o.Soctest_pack.Bnb.testing_time );
-                    ]
-                  | None -> []) );
+                  (List.map (fun (n, t, extra) -> (n, entry ~extra t)) entries)
+              );
               ("winner", Json.String winner);
               ("audited", Json.Bool true);
             ]

@@ -42,7 +42,7 @@ let () =
 
   List.iter
     (fun w ->
-      let r = Flow.solve (Flow.spec ~constraints soc ~tam_width:w) in
+      let r = Flow.solve ~constraints soc ~tam_width:w in
       Printf.printf "W=%2d: testing time %6d cycles (TAM utilization %.1f%%)\n"
         w r.Optimizer.testing_time
         (100. *. Soctest_tam.Schedule.utilization r.Optimizer.schedule))

@@ -16,7 +16,7 @@ let () =
   let widths = List.init 64 (fun k -> k + 1) in
   let alphas = [ 0.1; 0.3; 0.5; 0.7; 0.9 ] in
   let { Flow.points; evaluations } =
-    Flow.solve_sweep (Flow.sweep_spec soc ~widths ~alphas)
+    Flow.solve_sweep soc ~widths ~alphas
   in
 
   let tp = Volume.min_time_point points

@@ -50,7 +50,7 @@ let report label (r : Optimizer.result) =
 
 let () =
   (* Unconstrained baseline. *)
-  let free = Flow.solve (Flow.spec soc ~tam_width) in
+  let free = Flow.solve soc ~tam_width in
   report "unconstrained:" free;
   print_newline ();
 
@@ -62,7 +62,7 @@ let () =
       ~precedence:[ (1, 3); (1, 5); (2, 3) ]
       ~power_limit:2000 ()
   in
-  let constrained = Flow.solve (Flow.spec ~constraints soc ~tam_width) in
+  let constrained = Flow.solve ~constraints soc ~tam_width in
   report "precedence + hierarchy + power:" constrained;
   print_newline ();
 

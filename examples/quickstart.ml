@@ -24,10 +24,10 @@ let () =
   in
   let soc = Soc_def.make ~name:"demo4" ~cores () in
 
-  (* 2. Pick a total TAM width and solve Problem 1 (no constraints in
-     the spec means P_nw: plain wrapper/TAM co-optimization). *)
+  (* 2. Pick a total TAM width and solve Problem 1 (no ~constraints
+     means P_nw: plain wrapper/TAM co-optimization). *)
   let tam_width = 24 in
-  let result = Flow.solve (Flow.spec soc ~tam_width) in
+  let result = Flow.solve soc ~tam_width in
 
   Printf.printf "SOC %s, TAM width %d\n" soc.Soc_def.name tam_width;
   Printf.printf "testing time: %d cycles\n" result.Optimizer.testing_time;

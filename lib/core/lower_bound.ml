@@ -85,3 +85,8 @@ let compute_constrained prepared ~tam_width ~constraints =
     (max
        (energy_term prepared ~constraints)
        (critical_path_term prepared ~tam_width ~constraints))
+
+let gap_pct ~lower_bound time =
+  if lower_bound > 0 then
+    100. *. float_of_int (time - lower_bound) /. float_of_int lower_bound
+  else 0.

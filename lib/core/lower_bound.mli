@@ -36,3 +36,8 @@ val compute_constrained :
   int
 (** [max] of {!compute} and both constraint-aware terms — a legitimate
     lower bound for Problem 2 instances. *)
+
+val gap_pct : lower_bound:int -> int -> float
+(** [gap_pct ~lower_bound time]: how far [time] sits above
+    [lower_bound], in percent of it — [100 (time - lb) / lb], and [0.]
+    when [lower_bound <= 0]. *)

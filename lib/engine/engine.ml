@@ -12,6 +12,7 @@ module Log = Soctest_obs.Log
 module Store = Soctest_store.Store
 module Schedule = Soctest_tam.Schedule
 module Schedule_io = Soctest_tam.Schedule_io
+module Rectpack = Soctest_pack.Rectpack
 
 (* ------------------------------------------------------------------ *)
 (* Digests: MD5 hex of canonical textual renderings, so keys are stable
@@ -237,14 +238,21 @@ let audit_spec t ?expect_tam_width ?require_complete ~wmax constraints =
   Soctest_check.Audit.spec ~wmax ?expect_tam_width ?require_complete
     ~pareto:(pareto t ~wmax) constraints
 
-let eval_key t ?(overrides = []) prepared (req : Optimizer.request) =
-  Printf.sprintf "%s|pw=%d|W=%d|%s|c=%s|o=%s"
-    (soc_digest_of t (Optimizer.soc_of prepared))
-    (Optimizer.wmax_of prepared)
-    req.Optimizer.tam_width
-    (params_key req.Optimizer.params)
-    (constraints_digest_of t req.Optimizer.constraints)
-    (overrides_key overrides)
+(* A packed result carries the packer's name, so it never shares an
+   entry with the grid point of the same knobs. *)
+let eval_key t ?(overrides = []) ?order prepared (req : Optimizer.request) =
+  let key =
+    Printf.sprintf "%s|pw=%d|W=%d|%s|c=%s|o=%s"
+      (soc_digest_of t (Optimizer.soc_of prepared))
+      (Optimizer.wmax_of prepared)
+      req.Optimizer.tam_width
+      (params_key req.Optimizer.params)
+      (constraints_digest_of t req.Optimizer.constraints)
+      (overrides_key overrides)
+  in
+  match order with
+  | None -> key
+  | Some order -> key ^ "|pack=" ^ Rectpack.order_name order
 
 (* ------------------------------------------------------------------ *)
 (* The disk tier. Lookup order is memory -> disk -> solve, with
@@ -363,9 +371,32 @@ let new_tally () =
     t_solve_ms = ref 0.;
   }
 
-(* The caching drop-in for [Optimizer.run_request]. *)
-let cached_eval t ?tally ?overrides prepared req =
-  let key = eval_key t ?overrides prepared req in
+(* One packer run as an optimizer result: the packer places each core
+   once, at one width, never preempted, with the point's percent/delta
+   choosing the preferred rectangles. *)
+let run_pack order prepared (req : Optimizer.request) =
+  let p = req.Optimizer.params in
+  let o =
+    Rectpack.schedule ~percent:p.Optimizer.percent ~delta:p.Optimizer.delta
+      ~order prepared ~tam_width:req.Optimizer.tam_width
+      ~constraints:req.Optimizer.constraints
+  in
+  let sched = o.Rectpack.schedule in
+  {
+    Optimizer.schedule = sched;
+    testing_time = o.Rectpack.testing_time;
+    widths =
+      List.filter_map
+        (fun c -> Option.map (fun w -> (c, w)) (Schedule.width_of_core sched c))
+        (Schedule.cores sched);
+    preemptions = [];
+    params = p;
+  }
+
+(* The caching drop-in for [Optimizer.run_request]; with [order] it
+   caches the packer's result instead. *)
+let cached_eval t ?tally ?overrides ?order prepared req =
+  let key = eval_key t ?overrides ?order prepared req in
   let via_store = ref false in
   let probe_ms = ref 0. and solve_ms = ref 0. in
   let result, outcome =
@@ -379,7 +410,11 @@ let cached_eval t ?tally ?overrides prepared req =
         | None ->
           probe_ms := Clock.now_ms () -. t0;
           let t1 = Clock.now_ms () in
-          let r = Optimizer.run_request ?overrides prepared req in
+          let r =
+            match order with
+            | None -> Optimizer.run_request ?overrides prepared req
+            | Some order -> run_pack order prepared req
+          in
           solve_ms := Clock.now_ms () -. t1;
           store_put t key r;
           r)
@@ -416,27 +451,29 @@ let default_grid =
     widens = Optimizer.default_widens;
   }
 
-let point_grid ?(params = Optimizer.default_params) () =
+let point_grid =
+  let p = Optimizer.default_params in
   {
-    percents = [ params.Optimizer.percent ];
-    deltas = [ params.Optimizer.delta ];
-    slacks = [ params.Optimizer.insert_slack ];
-    widens = [ params.Optimizer.widen ];
+    percents = [ p.Optimizer.percent ];
+    deltas = [ p.Optimizer.delta ];
+    slacks = [ p.Optimizer.insert_slack ];
+    widens = [ p.Optimizer.widen ];
   }
+
+type strategy = Search of grid | Pack of Rectpack.order
 
 type request = {
   soc : Soc_def.t;
   tam_width : int;
   constraints : Constraint_def.t;
   wmax : int;
-  grid : grid;
+  strategy : strategy;
   budget : Budget.t;
 }
 
-let request ?(wmax = 64) ?grid ?(budget = Budget.unlimited) soc ~tam_width
-    ~constraints () =
-  let grid = match grid with Some g -> g | None -> point_grid () in
-  { soc; tam_width; constraints; wmax; grid; budget }
+let request ?(wmax = 64) ?(grid = point_grid) ?(budget = Budget.unlimited)
+    soc ~tam_width ~constraints () =
+  { soc; tam_width; constraints; wmax; strategy = Search grid; budget }
 
 type stats = {
   pareto_computed : int;
@@ -465,9 +502,15 @@ let solve t (r : request) =
     ~args:
       [ ("soc", r.soc.Soc_def.name); ("W", string_of_int r.tam_width) ]
   @@ fun () ->
+  (* a packer runs once, at the point grid's knobs *)
+  let grid, order =
+    match r.strategy with
+    | Search grid -> (grid, None)
+    | Pack order -> (point_grid, Some order)
+  in
   let points =
-    Optimizer.grid_points ~wmax:r.wmax ~percents:r.grid.percents
-      ~deltas:r.grid.deltas ~slacks:r.grid.slacks ~widens:r.grid.widens ()
+    Optimizer.grid_points ~wmax:r.wmax ~percents:grid.percents
+      ~deltas:grid.deltas ~slacks:grid.slacks ~widens:grid.widens ()
   in
   if points = [] then invalid_arg "Engine.solve: empty parameter grid";
   let pareto_misses0 = Cache.misses t.pareto_cache in
@@ -494,7 +537,7 @@ let solve t (r : request) =
           Optimizer.request ~params ~tam_width:r.tam_width
             ~constraints:r.constraints ()
         in
-        let result = cached_eval t ~tally prepared req in
+        let result = cached_eval t ~tally ?order prepared req in
         match !best with
         | Some b
           when b.Optimizer.testing_time <= result.Optimizer.testing_time ->

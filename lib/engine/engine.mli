@@ -8,10 +8,10 @@
       SOCs that embed identical cores and across every TAM width of a
       sweep;
     - {e optimizer evaluations}, keyed by (SOC digest, TAM width,
-      params, constraints digest, width overrides) — shared across grid
-      searches, annealing restarts, polish climbs and racing portfolio
-      strategies, with in-flight dedup so two domains never compute the
-      same grid point twice.
+      params, constraints digest, width overrides, packer) — shared
+      across grid searches, annealing restarts, polish climbs, packer
+      runs and racing portfolio strategies, with in-flight dedup so two
+      domains never compute the same grid point twice.
 
     Digests are MD5 of the canonical textual renderings
     ({!Soctest_soc.Soc_writer.to_string} for SOCs), so they are stable
@@ -67,18 +67,28 @@ val default_grid : grid
 (** {!Optimizer.default_percents} × [default_deltas] × [default_slacks]
     × [default_widens] — the paper's Table-1 search. *)
 
-val point_grid : ?params:Optimizer.params -> unit -> grid
-(** The singleton grid holding just [params]' knobs (default
-    {!Optimizer.default_params}) — a plain one-shot solve. *)
+val point_grid : grid
+(** The singleton grid holding {!Optimizer.default_params}' knobs — a
+    plain one-shot solve. *)
+
+type strategy =
+  | Search of grid
+      (** the paper's heuristic, best over every point of the grid *)
+  | Pack of Soctest_pack.Rectpack.order
+      (** one rectangle-packer run ({!Soctest_pack.Rectpack.schedule})
+          at the {!point_grid} knobs; cached and stored under a key that
+          names the packer, so it never collides with a grid point *)
 
 type request = {
   soc : Soctest_soc.Soc_def.t;
   tam_width : int;
   constraints : Soctest_constraints.Constraint_def.t;
   wmax : int;
-  grid : grid;
+  strategy : strategy;
   budget : Budget.t;
 }
+(** Build with {!request}; a packer request is a record update of it,
+    [{ (request soc ~tam_width ~constraints ()) with strategy = Pack o }]. *)
 
 val request :
   ?wmax:int ->
@@ -89,8 +99,8 @@ val request :
   constraints:Soctest_constraints.Constraint_def.t ->
   unit ->
   request
-(** [wmax] defaults to 64 (the paper's), [grid] to {!point_grid}
-    (single default-parameter evaluation), [budget] to
+(** A [Search grid] request. [wmax] defaults to 64 (the paper's), [grid]
+    to {!point_grid} (single default-parameter evaluation), [budget] to
     {!Budget.unlimited}. *)
 
 (** {1 Outcomes} *)
@@ -130,7 +140,8 @@ type outcome = {
 (** {1 Solving} *)
 
 val solve : t -> request -> outcome
-(** Evaluate the request's grid through the cache, best result wins.
+(** Evaluate the request's strategy through the cache: every point of a
+    [Search] grid, best result wins, or the one run of a [Pack].
     At least one grid point is always evaluated, so even an
     already-expired budget yields a valid schedule (status
     [Deadline]). When auditing is enabled

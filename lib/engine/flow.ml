@@ -5,48 +5,30 @@ module Soc_def = Soctest_soc.Soc_def
 module Core_def = Soctest_soc.Core_def
 module Constraint_def = Soctest_constraints.Constraint_def
 
-type spec = {
-  soc : Soc_def.t;
-  tam_width : int;
-  constraints : Constraint_def.t;
-}
-
 let constraints_or_empty soc = function
   | Some c -> c
   | None -> Constraint_def.empty ~core_count:(Soc_def.core_count soc)
-
-let spec ?constraints soc ~tam_width =
-  { soc; tam_width; constraints = constraints_or_empty soc constraints }
 
 let engine_or_fresh = function Some e -> e | None -> Engine.create ()
 
 (* [Engine.request]'s defaults are [Optimizer.default_params]' wmax and
    knobs: one default-parameter evaluation *)
-let solve ?engine { soc; tam_width; constraints } =
-  let engine = engine_or_fresh engine in
-  (Engine.solve engine (Engine.request soc ~tam_width ~constraints ()))
+let solve ?engine ?constraints soc ~tam_width =
+  let constraints = constraints_or_empty soc constraints in
+  (Engine.solve (engine_or_fresh engine)
+     (Engine.request soc ~tam_width ~constraints ()))
     .Engine.result
-
-type sweep_spec = {
-  soc : Soc_def.t;
-  widths : int list;
-  alphas : float list;
-  constraints : Constraint_def.t;
-}
-
-let sweep_spec ?constraints soc ~widths ~alphas =
-  { soc; widths; alphas; constraints = constraints_or_empty soc constraints }
 
 type p3_result = {
   points : Volume.point list;
   evaluations : Cost.evaluation list;
 }
 
-let solve_sweep ?engine { soc; widths; alphas; constraints } =
-  let engine = engine_or_fresh engine in
+let solve_sweep ?engine ?constraints soc ~widths ~alphas =
+  let constraints = constraints_or_empty soc constraints in
   let widths = List.sort_uniq compare widths in
   let outcomes =
-    Engine.solve_many engine
+    Engine.solve_many (engine_or_fresh engine)
       (List.map
          (fun width -> Engine.request soc ~tam_width:width ~constraints ())
          widths)

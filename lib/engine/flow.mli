@@ -1,8 +1,8 @@
 (** High-level facade: the three problems of the paper as one-call flows
     over the {!Engine}.
 
-    - {!solve}: wrapper/TAM co-optimization + scheduling under a
-      {!spec}. With [Constraint_def.empty] constraints (the default)
+    - {!solve}: wrapper/TAM co-optimization + scheduling of one SOC at
+      one TAM width. With [Constraint_def.empty] constraints (the default)
       this is Problem 1 ([P_nw]); with constraints it is Problem 2
       ([P_npw]) — p1 {e is} p2 with the empty constraint set.
     - {!solve_sweep}: sweeps the TAM width and identifies effective
@@ -16,50 +16,32 @@ module Optimizer = Soctest_core.Optimizer
 module Volume = Soctest_core.Volume
 module Cost = Soctest_core.Cost
 
-type spec = {
-  soc : Soctest_soc.Soc_def.t;
-  tam_width : int;
-  constraints : Soctest_constraints.Constraint_def.t;
-}
-(** Build with {!spec}. *)
-
-val spec :
+val solve :
+  ?engine:Engine.t ->
   ?constraints:Soctest_constraints.Constraint_def.t ->
   Soctest_soc.Soc_def.t ->
   tam_width:int ->
-  spec
-(** [constraints] defaults to
-    [Constraint_def.empty ~core_count:(Soc_def.core_count soc)] (Problem
-    1). *)
-
-val solve : ?engine:Engine.t -> spec -> Optimizer.result
-(** One evaluation at {!Optimizer.default_params}. A fresh engine is
-    created when [engine] is omitted (no caching across calls). *)
-
-type sweep_spec = {
-  soc : Soctest_soc.Soc_def.t;
-  widths : int list;
-  alphas : float list;
-  constraints : Soctest_constraints.Constraint_def.t;
-}
-
-val sweep_spec :
-  ?constraints:Soctest_constraints.Constraint_def.t ->
-  Soctest_soc.Soc_def.t ->
-  widths:int list ->
-  alphas:float list ->
-  sweep_spec
-(** Defaults as {!spec}. *)
+  Optimizer.result
+(** One evaluation at {!Optimizer.default_params}. [constraints]
+    defaults to [Constraint_def.empty ~core_count:(Soc_def.core_count
+    soc)] (Problem 1). A fresh engine is created when [engine] is
+    omitted (no caching across calls). *)
 
 type p3_result = {
   points : Volume.point list;
   evaluations : Cost.evaluation list;
 }
 
-val solve_sweep : ?engine:Engine.t -> sweep_spec -> p3_result
+val solve_sweep :
+  ?engine:Engine.t ->
+  ?constraints:Soctest_constraints.Constraint_def.t ->
+  Soctest_soc.Soc_def.t ->
+  widths:int list ->
+  alphas:float list ->
+  p3_result
 (** One {!Engine.solve_many} batch over the (deduplicated, sorted)
     widths: the per-core Pareto staircases are computed once for the
-    whole sweep. *)
+    whole sweep. [constraints] defaults as in {!solve}. *)
 
 val default_power_limit : Soctest_soc.Soc_def.t -> int
 (** The experiment setting used throughout: 1.5x the largest per-core test

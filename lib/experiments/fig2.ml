@@ -15,7 +15,7 @@ let run ?soc ?(tam_width = 16) ?(columns = 72) () =
   let soc =
     match soc with Some s -> s | None -> Soctest_soc.Benchmarks.d695 ()
   in
-  let r = Flow.solve (Flow.spec soc ~tam_width) in
+  let r = Flow.solve soc ~tam_width in
   let schedule = r.Optimizer.schedule in
   {
     soc_name = soc.Soc_def.name;

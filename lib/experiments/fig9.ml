@@ -18,7 +18,7 @@ let run ?soc ?(max_width = 80) ?(alphas = (0.5, 0.75)) () =
   in
   let widths = List.init max_width (fun k -> k + 1) in
   let points =
-    (Flow.solve_sweep (Flow.sweep_spec soc ~widths ~alphas:[])).Flow.points
+    (Flow.solve_sweep soc ~widths ~alphas:[]).Flow.points
   in
   let a1, a2 = alphas in
   {

@@ -28,7 +28,7 @@ let run_soc soc ?(widths = default_widths) ?alphas () =
   in
   (* the p3 flow batches the whole width sweep through one engine, so
      the Pareto analyses are computed once per SOC *)
-  let sweep = Flow.solve_sweep (Flow.sweep_spec soc ~widths ~alphas) in
+  let sweep = Flow.solve_sweep soc ~widths ~alphas in
   let points = sweep.Flow.points in
   let tp = Volume.min_time_point points
   and vp = Volume.min_volume_point points in

@@ -117,7 +117,7 @@ let multisite_table ?soc ?(tester = Multisite.default_tester)
     | None -> List.init 64 (fun k -> k + 1)
   in
   let sweep =
-    (Flow.solve_sweep (Flow.sweep_spec soc ~widths ~alphas:[])).Flow.points
+    (Flow.solve_sweep soc ~widths ~alphas:[]).Flow.points
     |> List.map (fun p -> (p.Volume.width, p.Volume.time))
   in
   Multisite.evaluate tester ~batch_size sweep

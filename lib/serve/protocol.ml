@@ -8,14 +8,13 @@ module Optimizer = Soctest_core.Optimizer
 module Audit = Soctest_check.Audit
 
 type problem = P1 | P2 | P3
-type strategy = Point | Grid | Rectpack | Rectpack_diag
 
 type solve_request = {
   soc : Soc_def.t;
   soc_source : string;
   tam_width : int;
   problem : problem;
-  strategy : strategy;
+  strategy : Engine.strategy;
   budget_ms : float option;
   power_limit : int option;
   preempt : int option;
@@ -128,10 +127,10 @@ let solve_request_of_body =
   in
   let strategy =
     match string_field obj "strategy" with
-    | None | Some "point" -> Point
-    | Some "grid" -> Grid
-    | Some "rectpack" -> Rectpack
-    | Some "rectpack-diagonal" -> Rectpack_diag
+    | None | Some "point" -> Engine.Search Engine.point_grid
+    | Some "grid" -> Engine.Search Engine.default_grid
+    | Some "rectpack" -> Engine.Pack Soctest_pack.Rectpack.Plain
+    | Some "rectpack-diagonal" -> Engine.Pack Soctest_pack.Rectpack.Diagonal
     | Some s ->
       bad "unknown strategy %S (point, grid, rectpack or rectpack-diagonal)"
         s
@@ -220,11 +219,8 @@ let json_of_outcome ?lower_bound ~soc (o : Engine.outcome) =
           ("lower_bound", Json.Int lb);
           ( "gap_pct",
             Json.Float
-              (if lb > 0 then
-                 100.
-                 *. float_of_int (r.Optimizer.testing_time - lb)
-                 /. float_of_int lb
-               else 0.) );
+              (Soctest_core.Lower_bound.gap_pct ~lower_bound:lb
+                 r.Optimizer.testing_time) );
         ])
     @ [
       ("evaluations", Json.Int o.Engine.evaluations);

@@ -27,18 +27,16 @@ module Json = Soctest_obs.Json
 
 type problem = P1 | P2 | P3
 
-type strategy =
-  | Point
-  | Grid
-  | Rectpack  (** plain rectangle bin packing ({!Soctest_pack.Rectpack}) *)
-  | Rectpack_diag  (** diagonal-length-ordered variant *)
-
 type solve_request = {
   soc : Soctest_soc.Soc_def.t;
   soc_source : string;  (** benchmark name or ["inline"] — for responses *)
   tam_width : int;
   problem : problem;
-  strategy : strategy;
+  strategy : Soctest_engine.Engine.strategy;
+      (** [point] and [grid] are [Search] over
+          {!Soctest_engine.Engine.point_grid} and
+          {!Soctest_engine.Engine.default_grid}; [rectpack] and
+          [rectpack-diagonal] are [Pack Plain] and [Pack Diagonal] *)
   budget_ms : float option;
   power_limit : int option;
   preempt : int option;

@@ -3,8 +3,6 @@ module Flow = Soctest_engine.Flow
 module Budget = Soctest_core.Budget
 module Optimizer = Soctest_core.Optimizer
 module Lower_bound = Soctest_core.Lower_bound
-module Rectpack = Soctest_pack.Rectpack
-module Schedule = Soctest_tam.Schedule
 module Constraint_def = Soctest_constraints.Constraint_def
 module Soc_def = Soctest_soc.Soc_def
 module Audit = Soctest_check.Audit
@@ -421,13 +419,6 @@ let constraints_of_solve (req : Protocol.solve_request) =
     Flow.constraints ?power_limit:req.power_limit ?preempt:req.preempt
       req.soc
 
-let grid_of = function
-  | Protocol.Point -> Engine.point_grid ()
-  | Protocol.Grid -> Engine.default_grid
-  | Protocol.Rectpack | Protocol.Rectpack_diag ->
-    (* rectpack solves bypass the evaluation grid (see [handle_solve]) *)
-    invalid_arg "grid_of: rectpack strategies do not search a grid"
-
 let problem_name = function
   | Protocol.P1 -> "p1"
   | Protocol.P2 -> "p2"
@@ -478,53 +469,14 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
     phase ctx "stall" (fun () ->
         Unix.sleepf (float_of_int req.stall_ms /. 1000.));
   let constraints = phase ctx "prep" (fun () -> constraints_of_solve req) in
-  (* a rectpack solve does not search the evaluation grid; it runs the
-     packer directly and is dressed as an [Engine.outcome] so the audit,
-     flight-record and rendering paths below stay uniform *)
-  let rectpack_solve ~tam_width order =
-    let t0 = Clock.now_ms () in
-    let prepared = Engine.prepare t.engine_ ~wmax:req.wmax req.soc in
-    let o = Rectpack.schedule ~order prepared ~tam_width ~constraints in
-    let elapsed = Clock.now_ms () -. t0 in
-    let sched = o.Rectpack.schedule in
-    let widths =
-      List.filter_map
-        (fun c -> Option.map (fun w -> (c, w)) (Schedule.width_of_core sched c))
-        (Schedule.cores sched)
-    in
-    {
-      Engine.result =
-        {
-          Optimizer.schedule = sched;
-          testing_time = o.Rectpack.testing_time;
-          widths;
-          preemptions = [];
-          params = Optimizer.default_params;
-        };
-      status = Engine.Complete;
-      evaluations = 1;
-      stats =
-        {
-          Engine.pareto_computed = 0;
-          pareto_cached = 0;
-          eval_computed = 1;
-          eval_cached = 0;
-          eval_deduped = 0;
-          eval_from_store = 0;
-          elapsed_ms = elapsed;
-          store_probe_ms = 0.;
-          eval_solve_ms = elapsed;
-        };
-    }
-  in
   let solve ~tam_width =
-    match req.strategy with
-    | Protocol.Point | Protocol.Grid ->
-      Engine.solve t.engine_
+    Engine.solve t.engine_
+      {
         (Engine.request req.soc ~tam_width ~constraints ~wmax:req.wmax
-           ~grid:(grid_of req.strategy) ~budget ())
-    | Protocol.Rectpack -> rectpack_solve ~tam_width Rectpack.Plain
-    | Protocol.Rectpack_diag -> rectpack_solve ~tam_width Rectpack.Diagonal
+           ~budget ())
+        with
+        strategy = req.strategy;
+      }
   in
   let common =
     [

@@ -40,7 +40,7 @@ let flow_scenarios () =
   let engine = Soctest_engine.Engine.create () in
   let run ~label soc ~tam_width ~constraints =
     let r =
-      Flow.solve ~engine (Flow.spec soc ~tam_width ~constraints)
+      Flow.solve ~engine soc ~tam_width ~constraints
     in
     audit ~label soc ~wmax ~tam_width ~constraints r.O.schedule
   in

@@ -1,4 +1,5 @@
-(* Engine smoke: a d695 width sweep solved through a cold engine, again
+(* Engine smoke: a d695 width sweep, each width solved with the grid
+   heuristic and both rectangle packers, through a cold engine, again
    through the now-warm cache, and once more on a second fresh engine —
    all three must agree bit-for-bit (serialized schedules compared as
    strings). Exercised by `dune build @engine-smoke` (pulled into
@@ -14,9 +15,23 @@ let () =
   let soc = Soctest_soc.Benchmarks.d695 () in
   let constraints = C.unconstrained ~core_count:(Soc_def.core_count soc) in
   let widths = [ 4; 8; 16; 32 ] in
-  let reqs () =
-    List.map (fun w -> Engine.request soc ~tam_width:w ~constraints ()) widths
+  let strategies =
+    [
+      Engine.Search Engine.point_grid;
+      Engine.Pack Soctest_pack.Rectpack.Plain;
+      Engine.Pack Soctest_pack.Rectpack.Diagonal;
+    ]
   in
+  let reqs () =
+    List.concat_map
+      (fun w ->
+        List.map
+          (fun strategy ->
+            { (Engine.request soc ~tam_width:w ~constraints ()) with strategy })
+          strategies)
+      widths
+  in
+  let solves = List.length widths * List.length strategies in
   let render outcomes =
     String.concat "\n"
       (List.map
@@ -38,11 +53,12 @@ let () =
     exit 1
   end;
   let hits, misses = Engine.eval_cache_stats engine in
-  if hits < List.length widths then begin
-    Printf.eprintf "engine smoke: expected >=%d cache hits, saw %d\n"
-      (List.length widths) hits;
+  if hits < solves then begin
+    Printf.eprintf "engine smoke: expected >=%d cache hits, saw %d\n" solves
+      hits;
     exit 1
   end;
   Printf.printf
-    "engine smoke ok: %d widths, cold = warm = fresh (%d hits / %d misses)\n"
-    (List.length widths) hits misses
+    "engine smoke ok: %d widths x %d strategies, cold = warm = fresh (%d \
+     hits / %d misses)\n"
+    (List.length widths) (List.length strategies) hits misses

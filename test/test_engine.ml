@@ -255,11 +255,92 @@ let test_solve_many_sweep_cached_vs_uncached () =
 let test_flow_shares_engine () =
   let soc = Test_helpers.mini4 () in
   let engine = Engine.create () in
-  let r1 = Flow.solve ~engine (Flow.spec soc ~tam_width:8) in
-  let r2 = Flow.solve ~engine (Flow.spec soc ~tam_width:8) in
+  let r1 = Flow.solve ~engine soc ~tam_width:8 in
+  let r2 = Flow.solve ~engine soc ~tam_width:8 in
   Alcotest.(check int) "same answer" r1.O.testing_time r2.O.testing_time;
   let hits, _ = Engine.eval_cache_stats engine in
   Alcotest.(check bool) "second flow call hit the cache" true (hits >= 1)
+
+(* ---------------- packers through the engine ---------------- *)
+
+module Rectpack = Soctest_pack.Rectpack
+module Store = Soctest_store.Store
+
+let pack_request soc order =
+  {
+    (Engine.request soc ~tam_width:16 ~constraints:(Flow.constraints soc) ())
+    with
+    strategy = Engine.Pack order;
+  }
+
+let test_pack_matches_direct () =
+  let soc = Test_helpers.d695 () in
+  let constraints = Flow.constraints soc in
+  List.iter
+    (fun order ->
+      let name = Rectpack.order_name order in
+      let engine = Engine.create () in
+      let direct =
+        Rectpack.schedule ~order (O.prepare soc) ~tam_width:16 ~constraints
+      in
+      let cold = Engine.solve engine (pack_request soc order) in
+      Alcotest.(check int) (name ^ ": same testing time")
+        direct.Rectpack.testing_time cold.Engine.result.O.testing_time;
+      Alcotest.(check string) (name ^ ": same schedule")
+        (IO.to_string direct.Rectpack.schedule)
+        (IO.to_string cold.Engine.result.O.schedule);
+      Alcotest.(check int) (name ^ ": cold computed") 1
+        cold.Engine.stats.Engine.eval_computed;
+      Alcotest.(check int) (name ^ ": cold staircases are real")
+        (Soc_def.core_count soc) cold.Engine.stats.Engine.pareto_computed;
+      let warm = Engine.solve engine (pack_request soc order) in
+      Alcotest.(check int) (name ^ ": warm cached") 1
+        warm.Engine.stats.Engine.eval_cached;
+      Alcotest.(check int) (name ^ ": warm computed nothing") 0
+        warm.Engine.stats.Engine.eval_computed)
+    [ Rectpack.Plain; Rectpack.Diagonal ]
+
+let test_pack_and_point_keys_differ () =
+  let soc = Test_helpers.d695 () in
+  let engine = Engine.create () in
+  let point =
+    Engine.solve engine
+      (Engine.request soc ~tam_width:16 ~constraints:(Flow.constraints soc) ())
+  in
+  let packed = Engine.solve engine (pack_request soc Rectpack.Plain) in
+  Alcotest.(check int) "point makespan" 44875
+    point.Engine.result.O.testing_time;
+  Alcotest.(check int) "rectpack makespan" 51987
+    packed.Engine.result.O.testing_time;
+  Alcotest.(check int) "the packer was not served the point's entry" 1
+    packed.Engine.stats.Engine.eval_computed;
+  Alcotest.(check (pair int int)) "two entries, no hits" (0, 2)
+    (Engine.eval_cache_stats engine)
+
+let test_pack_store_hit () =
+  let path = Filename.temp_file "soctest-engine-test" ".store" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let soc = Test_helpers.d695 () in
+  let solve () =
+    let store = Store.open_ path in
+    Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+    let engine = Engine.create ~store () in
+    let o = Engine.solve engine (pack_request soc Rectpack.Plain) in
+    (o, Engine.store_stats engine)
+  in
+  let first, first_stats = solve () in
+  Alcotest.(check int) "first engine: a disk miss" 1
+    first_stats.Engine.misses;
+  let second, second_stats = solve () in
+  Alcotest.(check int) "fresh engine: an audited disk hit" 1
+    second_stats.Engine.hits;
+  Alcotest.(check int) "no audit rejects" 0 second_stats.Engine.audit_rejects;
+  Alcotest.(check int) "reported as from the store" 1
+    second.Engine.stats.Engine.eval_from_store;
+  Alcotest.(check string) "bit-identical across engines"
+    (IO.to_string first.Engine.result.O.schedule)
+    (IO.to_string second.Engine.result.O.schedule)
 
 let () =
   Alcotest.run "engine"
@@ -297,5 +378,14 @@ let () =
             test_solve_many_sweep_cached_vs_uncached;
           Alcotest.test_case "flow shares engine" `Quick
             test_flow_shares_engine;
+        ] );
+      ( "pack",
+        [
+          Alcotest.test_case "rectpack = direct packer, then cached" `Quick
+            test_pack_matches_direct;
+          Alcotest.test_case "pack and point keys differ" `Quick
+            test_pack_and_point_keys_differ;
+          Alcotest.test_case "packed result served from store" `Quick
+            test_pack_store_hit;
         ] );
     ]

@@ -14,8 +14,8 @@ let mk = Test_helpers.core
 
 let test_solve_p1 () =
   let soc = Test_helpers.mini4 () in
-  (* no constraints in the spec = Problem 1 *)
-  let r = Flow.solve (Flow.spec soc ~tam_width:8) in
+  (* no ~constraints = Problem 1 *)
+  let r = Flow.solve soc ~tam_width:8 in
   Test_helpers.check_complete soc r.O.schedule;
   (* P1 is unconstrained and non-preemptive *)
   Alcotest.(check (list (pair int int))) "no preemptions" []
@@ -24,7 +24,7 @@ let test_solve_p1 () =
 let test_solve_p2_equals_optimizer () =
   let soc = Test_helpers.mini4 () in
   let constraints = C.of_soc soc () in
-  let a = Flow.solve (Flow.spec ~constraints soc ~tam_width:8) in
+  let a = Flow.solve ~constraints soc ~tam_width:8 in
   let b =
     O.run_request (O.prepare soc) (O.request ~tam_width:8 ~constraints ())
   in
@@ -33,7 +33,7 @@ let test_solve_p2_equals_optimizer () =
 let test_solve_p3 () =
   let soc = Test_helpers.mini4 () in
   let { Flow.points; evaluations } =
-    Flow.solve_sweep (Flow.sweep_spec soc ~widths:[ 2; 4; 8 ] ~alphas:[ 0.0; 1.0 ])
+    Flow.solve_sweep soc ~widths:[ 2; 4; 8 ] ~alphas:[ 0.0; 1.0 ]
   in
   Alcotest.(check int) "three points" 3 (List.length points);
   Alcotest.(check int) "two evaluations" 2 (List.length evaluations);
@@ -49,8 +49,7 @@ let test_solve_p3_with_constraints () =
   let soc = Test_helpers.mini4 () in
   let constraints = C.make ~core_count:4 ~precedence:[ (1, 2) ] () in
   let { Flow.points; _ } =
-    Flow.solve_sweep
-      (Flow.sweep_spec ~constraints soc ~widths:[ 4; 8 ] ~alphas:[ 0.5 ])
+    Flow.solve_sweep ~constraints soc ~widths:[ 4; 8 ] ~alphas:[ 0.5 ]
   in
   Alcotest.(check int) "two points" 2 (List.length points)
 

@@ -75,7 +75,7 @@ let test_measured_powers_usable_for_scheduling () =
   in
   let r =
     Soctest_engine.Flow.solve
-      (Soctest_engine.Flow.spec ~constraints soc ~tam_width:8)
+      ~constraints soc ~tam_width:8
   in
   Test_helpers.check_valid_schedule soc constraints
     r.Soctest_core.Optimizer.schedule

@@ -94,7 +94,7 @@ let test_protocol_solve_ok () =
   | Ok r ->
     Alcotest.(check int) "width" 24 r.Protocol.tam_width;
     Alcotest.(check bool) "p3" true (r.Protocol.problem = Protocol.P3);
-    Alcotest.(check bool) "grid" true (r.Protocol.strategy = Protocol.Grid);
+    Alcotest.(check bool) "grid" true (r.Protocol.strategy = Engine.Search Engine.default_grid);
     Alcotest.(check (option int)) "max_width" (Some 12) r.Protocol.max_width;
     Alcotest.(check string) "source" "d695" r.Protocol.soc_source
 
@@ -314,9 +314,37 @@ let test_live_deadline_budget () =
     "degraded result is still audited clean" true
     (member "clean" (member "audit" v) = Json.Bool true)
 
+(* The flight record of the request [r] answered. *)
+let flight_record ~port (r : Client.response) =
+  let id = List.assoc "x-request-id" r.Client.headers in
+  (* the record lands just after the response bytes, so a fast client
+     can outrun it — poll briefly *)
+  let rec fetch tries =
+    let j =
+      Client.json_body (Client.get ~port "/v1/debug/requests?limit=16")
+    in
+    let records =
+      match member "requests" j with
+      | Json.List l -> l
+      | _ -> Alcotest.fail "debug response lacks a requests list"
+    in
+    match
+      List.find_opt
+        (fun rc -> Json.member "id" rc = Some (Json.String id))
+        records
+    with
+    | Some rc -> rc
+    | None when tries > 0 ->
+      Unix.sleepf 0.02;
+      fetch (tries - 1)
+    | None -> Alcotest.failf "request %s not in the flight recorder" id
+  in
+  fetch 50
+
 (* A daemon restarted against a warm store must answer a
    previously-solved request from the disk tier, visibly in
-   /v1/metrics. *)
+   /v1/metrics. A rectpack request goes through the same tiers: its
+   repeat is a memory hit, and after the restart a disk hit. *)
 let test_live_warm_restart () =
   let module Store = Soctest_store.Store in
   let path = Filename.temp_file "soctest-serve-test" ".store" in
@@ -341,9 +369,24 @@ let test_live_warm_restart () =
     let m = Client.json_body (Client.get ~port "/v1/metrics") in
     jint (member name (member "store" (member "engine" m)))
   in
+  let rectpack_body =
+    solve_body ~extra:[ ("strategy", Json.String "rectpack") ] 8
+  in
+  let rectpack_result port =
+    let r = Client.post ~port ~body:rectpack_body "/v1/solve" in
+    Alcotest.(check int) "rectpack status" 200 r.Client.status;
+    let result = member "result" (Client.json_body r) in
+    (r, result, member "cache" result)
+  in
   (* first life: solve, which writes through to the store *)
-  let first_schedule =
+  let first_schedule, rectpack_time =
     with_stored_server @@ fun _server port ->
+    let _, first_pack, _ = rectpack_result port in
+    let repeat, _, cache = rectpack_result port in
+    Alcotest.(check int) "rectpack repeat served from memory" 1
+      (jint (member "eval_cached" cache));
+    Alcotest.(check string) "rectpack repeat flight tier" "memory"
+      (jstr (member "tier" (flight_record ~port repeat)));
     let r = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
     Alcotest.(check int) "first life status" 200 r.Client.status;
     Alcotest.(check bool)
@@ -353,7 +396,8 @@ let test_live_warm_restart () =
     Alcotest.(check bool)
       "first life wrote through" true
       (store_stat "misses" port >= 1);
-    jstr (member "schedule_text" (member "result" (Client.json_body r)))
+    ( jstr (member "schedule_text" (member "result" (Client.json_body r))),
+      jint (member "testing_time" first_pack) )
   in
   (* second life: a fresh process-worth of state, same store file *)
   with_stored_server @@ fun _server port ->
@@ -375,6 +419,11 @@ let test_live_warm_restart () =
   Alcotest.(check bool)
     "disk hit visible in /v1/metrics" true
     (store_stat "hits" port >= 1);
+  let _, pack, cache = rectpack_result port in
+  Alcotest.(check int) "rectpack served from the disk tier" 1
+    (jint (member "eval_from_store" cache));
+  Alcotest.(check int) "rectpack makespan unchanged" rectpack_time
+    (jint (member "testing_time" pack));
   Alcotest.(check int) "no audit rejects" 0 (store_stat "audit_rejects" port)
 
 (* Tentpole criteria: every response carries x-request-id (inbound ids
@@ -437,30 +486,7 @@ let test_live_flight_recorder () =
   with_server @@ fun _server port ->
   let r = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
   Alcotest.(check int) "solve ok" 200 r.Client.status;
-  let id = List.assoc "x-request-id" r.Client.headers in
-  (* the record lands just after the response bytes, so a fast client
-     can outrun it — poll briefly *)
-  let rec fetch tries =
-    let j =
-      Client.json_body (Client.get ~port "/v1/debug/requests?limit=16")
-    in
-    let records =
-      match member "requests" j with
-      | Json.List l -> l
-      | _ -> Alcotest.fail "debug response lacks a requests list"
-    in
-    match
-      List.find_opt
-        (fun rc -> Json.member "id" rc = Some (Json.String id))
-        records
-    with
-    | Some rc -> rc
-    | None when tries > 0 ->
-      Unix.sleepf 0.02;
-      fetch (tries - 1)
-    | None -> Alcotest.failf "request %s not in the flight recorder" id
-  in
-  match fetch 50 with
+  match flight_record ~port r with
   | rc ->
     Alcotest.(check string)
       "endpoint" "/v1/solve"

@@ -52,7 +52,7 @@ let test_constrained_all_benchmarks () =
       in
       List.iter
         (fun w ->
-          let r = Flow.solve (Flow.spec ~constraints soc ~tam_width:w) in
+          let r = Flow.solve ~constraints soc ~tam_width:w in
           validate_or_fail soc constraints r
             ~label:(Printf.sprintf "%s constrained W=%d" name w))
         [ 16; 32; 64 ])
@@ -65,7 +65,7 @@ let test_full_pipeline_umbrella () =
     Soc_parser.parse_string (Soc_writer.to_string (Benchmarks.mini4 ()))
   in
   let constraints = Constraint_def.of_soc soc () in
-  let r = Flow.solve (Flow.spec ~constraints soc ~tam_width:8) in
+  let r = Flow.solve ~constraints soc ~tam_width:8 in
   let sched = r.Optimizer.schedule in
   let stats = Sched_stats.compute sched in
   Alcotest.(check int) "stats makespan" r.Optimizer.testing_time
