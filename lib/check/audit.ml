@@ -381,7 +381,16 @@ let run soc spec sched =
           fail acc Time_accounting
             "core %d busy %d cycles; Pareto time %d + %d preemption(s) x \
              (si+so = %d) = %d"
-            c busy (Pareto.time p ~width) preempts penalty expected
+            c busy (Pareto.time p ~width) preempts penalty expected;
+        (* the per-width design is already at hand for the penalty: it
+           re-derives the staircase step the schedule stands on, so a
+           wrong staircase cannot vouch for itself *)
+        if effective = width && width <= Pareto.wmax p
+           && d.Wrapper_design.time <> Pareto.time p ~width
+        then
+          fail acc Time_accounting
+            "core %d at width %d: staircase time %d, wrapper design %d" c
+            width (Pareto.time p ~width) d.Wrapper_design.time
       | widths ->
         fail acc Width_constant "core %d changes width across slices (%s)"
           c

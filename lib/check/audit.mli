@@ -18,7 +18,10 @@
       ({!Soctest_wrapper.Pareto.effective_width});
     - {b Time accounting}: each core's total busy time equals
       [Pareto.time] at its width plus exactly [si + so] cycles per real
-      preemption (a resumption at [start = previous stop] is free);
+      preemption (a resumption at [start = previous stop] is free),
+      and at an effective width within [wmax] that staircase time
+      equals {!Soctest_wrapper.Wrapper_design.design}'s, so a wrong
+      staircase provider cannot vouch for itself;
     - {b Constraints}: precedence, concurrency exclusions, shared-BIST
       exclusion, the power cap at every instant, and per-core preemption
       budgets;

@@ -483,6 +483,7 @@ type stats = {
   eval_deduped : int;
   eval_from_store : int;
   elapsed_ms : float;
+  prepare_ms : float;
   store_probe_ms : float;
   eval_solve_ms : float;
 }
@@ -514,7 +515,9 @@ let solve t (r : request) =
   in
   if points = [] then invalid_arg "Engine.solve: empty parameter grid";
   let pareto_misses0 = Cache.misses t.pareto_cache in
+  let prepare_started = Clock.now_ms () in
   let prepared, prep_outcome = prepare_with_outcome t ~wmax:r.wmax r.soc in
+  let prepare_ms = Float.max 0. (Clock.now_ms () -. prepare_started) in
   (* a prepare-level hit skips the per-core cache entirely: every
      staircase it hands back counts as cached *)
   let pareto_computed =
@@ -582,6 +585,7 @@ let solve t (r : request) =
         eval_deduped = !(tally.t_deduped);
         eval_from_store = !(tally.t_from_store);
         elapsed_ms = Float.max 0. (Clock.now_ms () -. started);
+        prepare_ms;
         store_probe_ms = !(tally.t_store_probe_ms);
         eval_solve_ms = !(tally.t_solve_ms);
       };

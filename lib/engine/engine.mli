@@ -114,12 +114,16 @@ type stats = {
   eval_from_store : int;
       (** evaluations served by the disk tier (audited disk hits) *)
   elapsed_ms : float;  (** whole solve, monotonic *)
+  prepare_ms : float;
+      (** time inside the Pareto/prepare level: staircases computed or
+          fetched from the cache *)
   store_probe_ms : float;
       (** time inside the disk tier: lookup, decode and audit-on-load,
           summed over this solve's computed evaluations *)
   eval_solve_ms : float;
       (** time inside {!Optimizer.run_request}, summed likewise — the
-          remainder of [elapsed_ms] is cache-probe and bookkeeping *)
+          remainder of [elapsed_ms] after these three is cache-probe and
+          bookkeeping *)
 }
 
 type status =

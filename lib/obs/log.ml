@@ -75,7 +75,7 @@ let dedup_admit event =
 (* ------------------------------------------------------------------ *)
 (* emit *)
 
-let emit level event fields =
+let emit ?request_id level event fields =
   if enabled level then
     with_sink (fun () ->
         let admit =
@@ -93,8 +93,12 @@ let emit level event fields =
               ("event", Json.String event);
             ]
           in
+          let request_id =
+            if Option.is_some request_id then request_id
+            else Obs.current_request ()
+          in
           let rid =
-            match Obs.current_request () with
+            match request_id with
             | Some id -> [ ("request_id", Json.String id) ]
             | None -> []
           in
@@ -108,10 +112,14 @@ let emit level event fields =
           output_char oc '\n';
           flush oc)
 
-let debug ?(fields = []) event = emit Debug event fields
-let info ?(fields = []) event = emit Info event fields
-let warn ?(fields = []) event = emit Warn event fields
-let error ?(fields = []) event = emit Error event fields
+let debug ?request_id ?(fields = []) event =
+  emit ?request_id Debug event fields
+
+let info ?request_id ?(fields = []) event = emit ?request_id Info event fields
+let warn ?request_id ?(fields = []) event = emit ?request_id Warn event fields
+
+let error ?request_id ?(fields = []) event =
+  emit ?request_id Error event fields
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)

@@ -45,14 +45,24 @@ val enabled : level -> bool
 
 (** {1 Emitting} *)
 
-val debug : ?fields:(string * Json.t) list -> string -> unit
-val info : ?fields:(string * Json.t) list -> string -> unit
-val warn : ?fields:(string * Json.t) list -> string -> unit
+val debug :
+  ?request_id:string -> ?fields:(string * Json.t) list -> string -> unit
 
-val error : ?fields:(string * Json.t) list -> string -> unit
+val info :
+  ?request_id:string -> ?fields:(string * Json.t) list -> string -> unit
+
+val warn :
+  ?request_id:string -> ?fields:(string * Json.t) list -> string -> unit
+
+val error :
+  ?request_id:string -> ?fields:(string * Json.t) list -> string -> unit
 (** [error ~fields event] emits
     [{"ts":…,"level":"error","event":event,…fields}]. The [event]
-    string is the dedup key for warn/error rate limiting. *)
+    string is the dedup key for warn/error rate limiting. The line's
+    [request_id] is [?request_id] when given, else the calling domain's
+    ambient id ({!Obs.current_request}). Threads of one domain share
+    that ambient id, so code running on systhreads passes the id
+    explicitly. *)
 
 (** {1 Dedup window} *)
 

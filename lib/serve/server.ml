@@ -270,10 +270,10 @@ let observe t ctx (reply : reply) =
     }
   in
   Flight.record t.flight record;
-  (* connection threads complete outside any [with_request]; re-assert
-     the ambient id so every line carries it exactly once *)
-  Obs.with_request ctx.id @@ fun () ->
-  Log.info "serve.request"
+  (* connection threads share their domain's ambient id, which a
+     concurrent thread may set or clear: name the request explicitly *)
+  let request_id = ctx.id in
+  Log.info ~request_id "serve.request"
     ~fields:
       [
         ("endpoint", Json.String ctx.endpoint);
@@ -282,10 +282,11 @@ let observe t ctx (reply : reply) =
         ("tier", Json.String ctx.tier);
       ];
   if reply.status >= 500 then
-    Log.error "serve.error_response"
+    Log.error ~request_id "serve.error_response"
       ~fields:[ ("record", Flight.to_json record) ]
   else if slow then
-    Log.warn "serve.slow" ~fields:[ ("record", Flight.to_json record) ]
+    Log.warn ~request_id "serve.slow"
+      ~fields:[ ("record", Flight.to_json record) ]
 
 let complete t ctx conn ~close (reply : reply) =
   let w0 = Clock.now_ms () in
@@ -429,13 +430,16 @@ let status_name = function
   | Engine.Deadline -> "deadline"
 
 (* Attribute an engine solve's elapsed time to the flight-record
-   phases: disk probe+audit and optimizer time are measured inside the
-   engine; the remainder is memory-cache probing and bookkeeping. *)
+   phases: Pareto preparation, disk probe+audit and optimizer time are
+   measured inside the engine; the remainder is memory-cache probing and
+   bookkeeping. *)
 let note_engine_phases ctx (s : Engine.stats) =
+  let pareto = s.Engine.prepare_ms in
   let probe = s.Engine.store_probe_ms in
   let solve = s.Engine.eval_solve_ms in
   add_phase ctx "cache_probe"
-    (Float.max 0. (s.Engine.elapsed_ms -. probe -. solve));
+    (Float.max 0. (s.Engine.elapsed_ms -. pareto -. probe -. solve));
+  add_phase ctx "pareto" pareto;
   add_phase ctx "disk_audit" probe;
   add_phase ctx "solve" solve
 
@@ -656,14 +660,21 @@ type reply_cell = {
   cell_lock : Mutex.t;
   cell_cond : Condition.t;
   mutable cell : reply option;
+  mutable put_at : float;  (** when the worker parked the reply *)
 }
 
 let cell () =
-  { cell_lock = Mutex.create (); cell_cond = Condition.create (); cell = None }
+  {
+    cell_lock = Mutex.create ();
+    cell_cond = Condition.create ();
+    cell = None;
+    put_at = 0.;
+  }
 
 let put_cell c reply =
   Mutex.lock c.cell_lock;
   c.cell <- Some reply;
+  c.put_at <- Clock.now_ms ();
   Condition.signal c.cell_cond;
   Mutex.unlock c.cell_lock
 
@@ -712,6 +723,8 @@ let admit_sync t conn ctx ~close ?budget_ms run =
         ~finally:(fun () -> release_slot t)
         (fun () ->
           let reply = take_cell c in
+          (* waking this thread from the worker domain *)
+          add_phase ctx "handoff" (Float.max 0. (Clock.now_ms () -. c.put_at));
           Obs.incr completed_c;
           complete t ctx conn ~close reply)
     | exception Invalid_argument _ ->
@@ -865,7 +878,10 @@ let route t conn ~close (req : Http.request) =
       (phase ctx "render" (fun () ->
            json_reply ~status:200 (debug_requests t query)))
   | "POST", "/v1/solve" -> (
-    match Protocol.solve_request_of_body req.Http.body with
+    match
+      phase ctx "decode" (fun () ->
+          Protocol.solve_request_of_body req.Http.body)
+    with
     | Error msg ->
       Obs.incr bad_request_c;
       answer (error_reply ~code:Protocol.Bad_request_error msg)
@@ -881,7 +897,10 @@ let route t conn ~close (req : Http.request) =
           (error_reply ~code:Protocol.Bad_request_error
              (Printf.sprintf "unknown mode %S (sync or async)" m))))
   | "POST", "/v1/check" -> (
-    match Protocol.check_request_of_body req.Http.body with
+    match
+      phase ctx "decode" (fun () ->
+          Protocol.check_request_of_body req.Http.body)
+    with
     | Error msg ->
       Obs.incr bad_request_c;
       answer (error_reply ~code:Protocol.Bad_request_error msg)

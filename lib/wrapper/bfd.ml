@@ -5,9 +5,10 @@ type assignment = { bins : int list array; loads : int array }
 let packs_counter = Obs.counter "wrapper.bfd_packs"
 let exact_nodes_counter = Obs.counter "wrapper.bfd_exact_nodes"
 
-let least_loaded loads =
+(* lowest-index least-loaded bin among the first [bins] *)
+let least_loaded loads ~bins =
   let best = ref 0 in
-  for k = 1 to Array.length loads - 1 do
+  for k = 1 to bins - 1 do
     if loads.(k) < loads.(!best) then best := k
   done;
   !best
@@ -22,11 +23,21 @@ let pack ~weights ~bins =
   let result = { bins = Array.make bins []; loads = Array.make bins 0 } in
   Array.iter
     (fun item ->
-      let bin = least_loaded result.loads in
+      let bin = least_loaded result.loads ~bins in
       result.bins.(bin) <- item :: result.bins.(bin);
       result.loads.(bin) <- result.loads.(bin) + weights.(item))
     order;
   result
+
+let pack_loads ~sorted ~loads ~bins =
+  Array.fill loads 0 bins 0;
+  Array.iter
+    (fun w ->
+      let bin = least_loaded loads ~bins in
+      loads.(bin) <- loads.(bin) + w)
+    sorted
+
+let note_packs n = Obs.add packs_counter n
 
 let max_load a = Array.fold_left max 0 a.loads
 
@@ -34,32 +45,39 @@ let min_load a =
   Array.fold_left min max_int a.loads
 
 (* Closed-form water-fill, replacing a unit-at-a-time loop that cost
-   O(units x bins) and dominated Pareto preparation (two calls per
-   candidate width per core, with [units] in the hundreds). The loop's
-   outcome is fully determined: it raises the lowest bins to a common
-   level, then hands the leftover units to level bins in ascending index
-   order (ties in [least_loaded] resolve to the lowest index). So find
-   the largest level whose fill cost stays within [units] by binary
-   search and distribute directly — bit-identical to the loop, which
-   test_bfd checks by property. *)
+   O(units x bins). The loop's outcome is fully determined: it raises the
+   lowest bins to a common level, then hands the leftover units to level
+   bins in ascending index order (ties in [least_loaded] resolve to the
+   lowest index). So the level is the largest one whose fill cost stays
+   within [units], found by binary search since fill is monotone —
+   bit-identical to the loop, which test_bfd checks by property. *)
+let water_level ~loads ~bins ~units =
+  let fill level =
+    let acc = ref 0 in
+    for i = 0 to bins - 1 do
+      if loads.(i) < level then acc := !acc + level - loads.(i)
+    done;
+    !acc
+  in
+  let min_load = ref loads.(0) in
+  for i = 1 to bins - 1 do
+    if loads.(i) < !min_load then min_load := loads.(i)
+  done;
+  let lo = ref !min_load and hi = ref (!min_load + units) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo + 1) / 2) in
+    if fill mid <= units then lo := mid else hi := mid - 1
+  done;
+  (!lo, units - fill !lo)
+
 let spread_units ~loads ~units =
   if units < 0 then invalid_arg "Bfd.spread_units: negative units";
   let bins = Array.length loads in
   if bins = 0 then invalid_arg "Bfd.spread_units: no bins";
   let given = Array.make bins 0 in
   if units > 0 then begin
-    let fill level =
-      Array.fold_left (fun acc v -> acc + max 0 (level - v)) 0 loads
-    in
-    let min_load = Array.fold_left min loads.(0) loads in
-    (* largest level with fill level <= units; fill is monotone *)
-    let lo = ref min_load and hi = ref (min_load + units) in
-    while !lo < !hi do
-      let mid = !lo + ((!hi - !lo + 1) / 2) in
-      if fill mid <= units then lo := mid else hi := mid - 1
-    done;
-    let level = !lo in
-    let spare = ref (units - fill level) in
+    let level, spare = water_level ~loads ~bins ~units in
+    let spare = ref spare in
     Array.iteri
       (fun i v -> if v < level then given.(i) <- level - v)
       loads;

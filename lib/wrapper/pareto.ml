@@ -18,10 +18,7 @@ let compute core ~wmax =
   Obs.with_span ~cat:"wrapper" "pareto.compute"
     ~args:[ ("core", string_of_int core.Core_def.id) ]
   @@ fun () ->
-  let raw =
-    Array.init wmax (fun k ->
-        Wrapper_design.testing_time core ~width:(k + 1))
-  in
+  let raw = Wrapper_design.staircase core ~wmax in
   let envelope = Array.copy raw in
   let effective = Array.make wmax 1 in
   for w = 1 to wmax - 1 do

@@ -11,7 +11,8 @@
 type t
 
 val compute : Soctest_soc.Core_def.t -> wmax:int -> t
-(** Evaluates the wrapper design at every width in [1..wmax].
+(** Evaluates the wrapper design at every width in [1..wmax], all from
+    one {!Wrapper_design.staircase} pass.
     @raise Invalid_argument if [wmax < 1]. *)
 
 val core_id : t -> int

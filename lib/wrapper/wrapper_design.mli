@@ -33,6 +33,14 @@ val design : Soctest_soc.Core_def.t -> width:int -> t
 val testing_time : Soctest_soc.Core_def.t -> width:int -> int
 (** [testing_time core ~width = (design core ~width).time]. *)
 
+val staircase : Soctest_soc.Core_def.t -> wmax:int -> int array
+(** [staircase core ~wmax] equals
+    [Array.init wmax (fun k -> testing_time core ~width:(k + 1))],
+    computed from one sort of the scan chains: BFD runs only at widths
+    below the chain count, and [si]/[so] come from the water-fill level
+    in closed form. {!design} stays the per-width oracle.
+    @raise Invalid_argument if [wmax < 1]. *)
+
 val time_formula : si:int -> so:int -> patterns:int -> int
 (** The raw formula, exposed for tests and for the preemption penalty. *)
 

@@ -146,6 +146,37 @@ let test_pareto_width_caught () =
   Alcotest.(check bool) "time accounting unaffected" false
     (caught Audit.Time_accounting report)
 
+(* A staircase provider that hands every core another core's staircase,
+   and a schedule built to agree with it: busy times and widths match the
+   swapped staircases, so only the wrapper re-derivation can object. *)
+let test_swapped_staircase_caught () =
+  let soc =
+    Soc_def.make ~name:"swap"
+      ~cores:
+        [
+          Test_helpers.core ~scan:[ 40; 12 ] ~patterns:30 1 "a";
+          Test_helpers.core ~inputs:3 ~outputs:5 ~scan:[ 9 ] ~patterns:7 2
+            "b";
+        ]
+      ()
+  in
+  let other core =
+    Pareto.compute (Soc_def.core soc (3 - core.Soctest_soc.Core_def.id))
+      ~wmax:8
+  in
+  let width c = Pareto.highest_pareto (other (Soc_def.core soc c)) in
+  let time c = Pareto.time (other (Soc_def.core soc c)) ~width:(width c) in
+  let constraints = Constraint_def.unconstrained ~core_count:2 in
+  let spec = Audit.spec ~wmax:8 ~pareto:other constraints in
+  let report =
+    Audit.run soc spec
+      (rebuild ~tam_width:8
+         [ slice 1 (width 1) 0 (time 1); slice 2 (width 2) 0 (time 2) ])
+  in
+  assert_caught "swapped staircase" Audit.Time_accounting report;
+  Alcotest.(check bool) "widths effective on the swapped staircase" false
+    (caught Audit.Pareto_width report)
+
 (* Constraint corruption on a purpose-built two-core SOC where the slice
    arithmetic is easy to keep honest: two identical cores, width 2 each,
    T(2) known from the staircase. *)
@@ -319,6 +350,8 @@ let () =
           Alcotest.test_case "completeness" `Quick test_completeness_caught;
           Alcotest.test_case "tam width" `Quick test_tam_width_caught;
           Alcotest.test_case "pareto width" `Quick test_pareto_width_caught;
+          Alcotest.test_case "swapped staircase" `Quick
+            test_swapped_staircase_caught;
           Alcotest.test_case "power" `Quick test_power_caught;
           Alcotest.test_case "precedence" `Quick test_precedence_caught;
           Alcotest.test_case "concurrency" `Quick test_concurrency_caught;

@@ -253,6 +253,90 @@ let prop_envelope_matches_design_min =
       done;
       !ok)
 
+(* Differential: the one-sort staircase kernel against the per-width
+   [Design_wrapper] oracle, bit for bit at every width. *)
+
+let raw_mismatch core ~wmax =
+  let p = Pareto.compute core ~wmax in
+  List.find_opt
+    (fun w -> Pareto.raw_time p ~width:w <> W.testing_time core ~width:w)
+    (List.init wmax (fun k -> k + 1))
+
+let test_kernel_itc02 () =
+  List.iter
+    (fun (name, soc) ->
+      Array.iter
+        (fun core ->
+          List.iter
+            (fun wmax ->
+              match raw_mismatch core ~wmax with
+              | None -> ()
+              | Some w ->
+                Alcotest.failf "%s core %d wmax %d: kernel differs at w=%d"
+                  name core.Core_def.id wmax w)
+            [ 1; 7; 64; 130 ])
+        soc.Soctest_soc.Soc_def.cores)
+    (("mini4", Test_helpers.mini4 ()) :: Soctest_soc.Benchmarks.all ())
+
+(* Cores aimed at the kernel's branches: short chains drawn from a tiny
+   range (many duplicates, length 1), terminal-only cores, one-terminal
+   chainless cores (useful = 1), lopsided inputs/outputs with bidirs,
+   and wmax below the chain count while terminals push useful above
+   it. Zero-length chains and cores with neither chains nor terminals
+   cannot reach the kernel: Core_def.make rejects them (test_core_def). *)
+let gen_kernel_case =
+  let open QCheck.Gen in
+  let core ~inputs ~outputs ~bidirs ~chains ~patterns =
+    Core_def.make ~id:1 ~name:"k" ~inputs ~outputs ~bidirs
+      ~scan_chains:chains ~patterns ()
+  in
+  let* patterns = int_range 1 300 in
+  frequency
+    [
+      ( 3,
+        let* n = int_range 0 40 in
+        let* chains = list_repeat n (int_range 1 6) in
+        let* inputs = int_range 1 50 in
+        let* outputs = int_range 0 50 in
+        let* bidirs = int_range 0 6 in
+        let* wmax = int_range 1 130 in
+        return (core ~inputs ~outputs ~bidirs ~chains ~patterns, wmax) );
+      ( 2,
+        let* n = int_range 0 70 in
+        let* chains = list_repeat n (int_range 1 400) in
+        let* inputs = int_range 0 120 in
+        let* outputs = int_range 0 120 in
+        let* bidirs = int_range 1 20 in
+        let* wmax = int_range 1 130 in
+        return (core ~inputs ~outputs ~bidirs ~chains ~patterns, wmax) );
+      ( 1,
+        let* inputs = int_range 1 90 in
+        let* outputs = int_range 0 90 in
+        let* bidirs = int_range 0 9 in
+        let* wmax = int_range 1 130 in
+        return (core ~inputs ~outputs ~bidirs ~chains:[] ~patterns, wmax) );
+      ( 1,
+        let* side = oneofl [ (1, 0, 0); (0, 1, 0); (1, 1, 0); (0, 0, 1) ] in
+        let inputs, outputs, bidirs = side in
+        let* wmax = int_range 1 16 in
+        return (core ~inputs ~outputs ~bidirs ~chains:[] ~patterns, wmax) );
+      ( 2,
+        let* n = int_range 3 40 in
+        let* chains = list_repeat n (int_range 1 60) in
+        let* inputs = int_range 1 60 in
+        let* outputs = int_range 1 60 in
+        let* bidirs = int_range 0 6 in
+        let* wmax = int_range 1 (n - 1) in
+        return (core ~inputs ~outputs ~bidirs ~chains ~patterns, wmax) );
+    ]
+
+let prop_kernel_matches_design =
+  Test_helpers.qtest "staircase kernel = Design_wrapper at every width"
+    ~count:400
+    (QCheck.make gen_kernel_case ~print:(fun (core, wmax) ->
+         Format.asprintf "%a wmax=%d" Core_def.pp core wmax))
+    (fun (core, wmax) -> raw_mismatch core ~wmax = None)
+
 let () =
   Alcotest.run "pareto"
     [
@@ -288,6 +372,12 @@ let () =
           Alcotest.test_case "invalid arguments" `Quick
             test_preferred_invalid;
           Alcotest.test_case "min area bounds" `Quick test_min_area_bounds;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "ITC'02 cores, wmax 1/7/64/130" `Quick
+            test_kernel_itc02;
+          prop_kernel_matches_design;
         ] );
       ( "properties",
         [

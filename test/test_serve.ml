@@ -511,7 +511,7 @@ let test_live_flight_recorder () =
           (Printf.sprintf "phase %s present" name)
           true
           (List.mem_assoc name phases))
-      [ "queue"; "prep"; "solve"; "audit"; "render"; "write" ];
+      [ "queue"; "prep"; "pareto"; "solve"; "audit"; "render"; "write" ];
     let sum =
       List.fold_left
         (fun acc (_, v) -> match v with Json.Float f -> acc +. f | _ -> acc)
