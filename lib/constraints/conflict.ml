@@ -7,8 +7,9 @@ module Obs = Soctest_obs.Obs
 type running = { core : int; power : int }
 
 (* [admissible] sits in the optimizer's innermost contention loop, so it
-   gets a lock-free counter only; the full [validate] pass is rare
-   enough to afford a span. *)
+   gets a lock-free counter only. [validate] runs once per scheduler run
+   (every grid point the optimizer computes) and keeps a span, so its
+   cost shows up per call in traces. *)
 let admissible_counter = Obs.counter "constraints.admissible_checks"
 let validations_counter = Obs.counter "constraints.validations"
 
@@ -62,24 +63,29 @@ let admissible soc constraints ~completed ~running ~candidate =
         | Some r -> Error (Bist_clash r.core)
         | None -> Ok ())))
 
-(* Everything [admissible] scans lists for — predecessors, exclusion
-   pairs, BIST peers, per-core power — is fixed once the SOC and
-   constraint set are known, so the optimizer builds this context once
-   per solve and the per-candidate check becomes array loads and word
-   ANDs. Core ids are the bit indices (universe [0 .. core_count], bit 0
-   unused), matching the scheduler's 1-based cores. *)
+(* Everything [admissible] and [validate] scan lists for — predecessors,
+   exclusion pairs, BIST peers, per-core power — is fixed once the SOC
+   and constraint set are known, so the optimizer builds this context
+   once per solve and the per-candidate check becomes array loads and
+   word ANDs. Core ids are the bit indices (universe [0 .. n], bit 0
+   unused, [n] the larger of the two core counts), matching the
+   scheduler's 1-based cores. *)
 type ctx = {
+  soc : Soc_def.t;
+  constraints : Constraint_def.t;
   preds : int array array;
       (* preds.(j): predecessors of j, in [Constraint_def.predecessors]
          order (ascending, from the sorted pair list) *)
   excl : Bitset.t array; (* excl.(j): cores that may not run beside j *)
   bist : Bitset.t array; (* bist.(j): cores sharing j's BIST engine *)
   power : int array; (* power.(j): test power of core j *)
+  peered : bool array; (* peered.(j): j has an exclusion or BIST peer *)
   power_limit : int option;
 }
 
 let context soc constraints =
-  let n = constraints.Constraint_def.core_count in
+  let n_soc = Soc_def.core_count soc in
+  let n = max n_soc constraints.Constraint_def.core_count in
   let preds =
     Array.init (n + 1) (fun j ->
         if j = 0 then [||]
@@ -92,19 +98,31 @@ let context soc constraints =
       Bitset.add excl.(b) a)
     constraints.Constraint_def.concurrency;
   let bist = Array.init (n + 1) (fun _ -> Bitset.create (n + 1)) in
-  for a = 1 to n do
-    for b = a + 1 to n do
-      if shares_bist soc a b then begin
-        Bitset.add bist.(a) b;
-        Bitset.add bist.(b) a
-      end
-    done
+  let engine =
+    Array.init (n_soc + 1) (fun j ->
+        if j = 0 then -1
+        else
+          Option.value ~default:(-1) (Soc_def.core soc j).Core_def.bist_engine)
+  in
+  (* [shares_bist], with the engine ids read once *)
+  for a = 1 to n_soc do
+    if engine.(a) >= 0 then
+      for b = a + 1 to n_soc do
+        if engine.(b) = engine.(a) then begin
+          Bitset.add bist.(a) b;
+          Bitset.add bist.(b) a
+        end
+      done
   done;
   let power =
     Array.init (n + 1) (fun j ->
-        if j = 0 then 0 else (Soc_def.core soc j).Core_def.power)
+        if j = 0 || j > n_soc then 0 else (Soc_def.core soc j).Core_def.power)
   in
-  { preds; excl; bist; power;
+  let peered =
+    Array.init (n + 1) (fun j ->
+        not (Bitset.is_empty excl.(j) && Bitset.is_empty bist.(j)))
+  in
+  { soc; constraints; preds; excl; bist; power; peered;
     power_limit = constraints.Constraint_def.power_limit }
 
 (* Same checks, same order, same reason payloads as [admissible], but
@@ -154,148 +172,214 @@ type violation =
   | Width_changed of { core : int; widths : int list }
   | Unknown_core of { core : int }
 
-let overlap (a : Schedule.slice) (b : Schedule.slice) =
-  if a.Schedule.start < b.Schedule.stop && b.Schedule.start < a.Schedule.stop
-  then Some (max a.Schedule.start b.Schedule.start)
-  else None
-
-(* Slice core ids the SOC actually defines. Everything that dereferences
-   [Soc_def.core] or the per-core preemption limits must stay inside this
-   set: a rogue id is reported as [Unknown_core] instead of letting the
-   lookup raise [Invalid_argument] mid-validation. *)
-let known_core soc core = core >= 1 && core <= Soc_def.core_count soc
-
-let unknown_core_violations soc (sched : Schedule.t) =
-  List.filter_map
-    (fun core ->
-      if known_core soc core then None else Some (Unknown_core { core }))
-    (Schedule.cores sched)
-
-(* The framework's schedules assign each core one TAM width for its whole
-   (possibly preempted) test; [Schedule.width_of_core] raises on a width
-   change, so group slices by hand here and report it as a violation. *)
-let width_change_violations (sched : Schedule.t) =
-  List.filter_map
-    (fun (core, slices) ->
-      let widths =
-        Array.to_list (Array.map (fun s -> s.Schedule.width) slices)
-        |> List.sort_uniq compare
-      in
-      match widths with
-      | [] | [ _ ] -> None
-      | widths -> Some (Width_changed { core; widths }))
-    (Schedule.index sched)
-
-let pairwise_violations soc constraints (sched : Schedule.t) =
-  let slices =
-    List.filter
-      (fun s -> known_core soc s.Schedule.core)
-      sched.Schedule.slices
+(* Position of [x] in the ascending array [a], or [-1]. *)
+let rank_of a x =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let y = a.(mid) in
+      if y = x then mid else if y < x then go (mid + 1) hi else go lo mid
   in
-  let rec loop acc = function
-    | [] -> acc
-    | s :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc s' ->
-            if s.Schedule.core = s'.Schedule.core then acc
-            else
-              match overlap s s' with
-              | None -> acc
-              | Some time ->
-                let a = min s.Schedule.core s'.Schedule.core
-                and b = max s.Schedule.core s'.Schedule.core in
-                let acc =
-                  if Constraint_def.excluded constraints a b then
-                    Concurrency_violated { a; b; time } :: acc
-                  else acc
-                in
-                if shares_bist soc a b then
-                  let engine =
-                    Option.value ~default:0
-                      (Soc_def.core soc a).Core_def.bist_engine
-                  in
-                  Bist_violated { a; b; engine; time } :: acc
-                else acc)
-          acc rest
-      in
-      loop acc rest
-  in
-  loop [] slices
+  go 0 (Array.length a)
 
-let precedence_violations constraints (sched : Schedule.t) =
-  List.filter_map
-    (fun (before, after) ->
-      match
-        (Schedule.core_finish sched before, Schedule.core_start sched after)
-      with
-      | Some fin, Some start when start < fin ->
-        Some (Precedence_violated { before; after })
-      | None, Some _ ->
-        (* successor scheduled but predecessor never runs at all *)
-        Some (Precedence_violated { before; after })
-      | _ -> None)
-    constraints.Constraint_def.precedence
+(* One pass over the slices for the per-core facts, then one
+   [Schedule.sweep] over the boundary events for everything that depends
+   on what runs at the same time. At a slice's start the active set holds
+   exactly the slices it overlaps that started earlier (ends go before
+   starts at equal times), so capacity, core overlap, exclusion and BIST
+   pairs and the power total are all read off that set; an unconstrained
+   core skips the pair scan. Slice core ids outside the SOC are reported
+   as [Unknown_core] and kept out of every SOC-dereferencing check.
 
-let power_violations soc constraints (sched : Schedule.t) =
-  match constraints.Constraint_def.power_limit with
-  | None -> []
-  | Some limit ->
-    (* power profile is piecewise constant between slice boundaries *)
-    let boundaries =
-      List.concat_map
-        (fun s -> [ s.Schedule.start; s.Schedule.stop ])
-        sched.Schedule.slices
-      |> List.sort_uniq compare
-    in
-    List.filter_map
-      (fun time ->
-        let power =
-          List.fold_left
-            (fun acc s ->
-              if known_core soc s.Schedule.core then
-                acc + (Soc_def.core soc s.Schedule.core).Core_def.power
-              else acc)
-            0
-            (Schedule.active_at sched time)
-        in
-        if power > limit then Some (Power_violated { time; power; limit })
-        else None)
-      boundaries
-
-let preemption_violations constraints (sched : Schedule.t) =
-  List.filter_map
-    (fun core ->
-      if core < 1 || core > constraints.Constraint_def.core_count then None
-      else
-        let count = Schedule.preemptions sched core in
-        let limit = Constraint_def.max_preemptions_of constraints core in
-        if count > limit then
-          Some (Preemptions_exceeded { core; count; limit })
-        else None)
-    (Schedule.cores sched)
-
-let width_violations (sched : Schedule.t) =
-  List.filter_map
-    (fun (s : Schedule.slice) ->
-      if s.Schedule.width > sched.Schedule.tam_width then
-        Some
-          (Width_above_total
-             { core = s.Schedule.core; width = s.Schedule.width })
-      else None)
-    sched.Schedule.slices
-
-let validate soc constraints sched =
+   The result is the list the straightforward per-check formulation
+   gives, element for element: capacity in sweep order, then unknown
+   cores, widths above the TAM, width changes, precedence, pairs (last
+   slice pair first, BIST before exclusion within a pair), power and
+   preemptions. The test tree keeps that formulation as the oracle. *)
+let validate_ctx ctx (sched : Schedule.t) =
   Obs.with_span ~cat:"constraints" "conflict.validate" @@ fun () ->
   Obs.incr validations_counter;
-  List.map (fun v -> Capacity v) (Schedule.check_capacity sched)
-  @ unknown_core_violations soc sched
-  @ width_violations sched
-  @ width_change_violations sched
-  @ precedence_violations constraints sched
-  @ pairwise_violations soc constraints sched
-  @ power_violations soc constraints sched
-  @ preemption_violations constraints sched
+  let constraints = ctx.constraints in
+  let n_soc = Soc_def.core_count ctx.soc in
+  let known core = core >= 1 && core <= n_soc in
+  let slices = Array.of_list sched.Schedule.slices in
+  (* Per-core state is indexed by rank: SOC core [c] is rank [c - 1], and
+     the rare rogue ids follow in ascending order, so ranks ascend with
+     core ids. *)
+  let rogue =
+    List.filter_map
+      (fun (s : Schedule.slice) ->
+        if known s.Schedule.core then None else Some s.Schedule.core)
+      sched.Schedule.slices
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let rank_of_core c =
+    if known c then c - 1
+    else
+      let r = rank_of rogue c in
+      if r < 0 then -1 else n_soc + r
+  in
+  let core_of r = if r < n_soc then r + 1 else rogue.(r - n_soc) in
+  let rank = Array.map (fun s -> rank_of_core s.Schedule.core) slices in
+  (* per core: first start ([-1] = absent), finish, first width, whether
+     the width ever changes, and strict gaps between its runs *)
+  let k = n_soc + Array.length rogue in
+  let start = Array.make k (-1) and finish = Array.make k 0 in
+  let width = Array.make k 0 and changed = Array.make k false in
+  let gaps = Array.make k 0 in
+  Array.iteri
+    (fun i (s : Schedule.slice) ->
+      let r = rank.(i) in
+      if start.(r) < 0 then begin
+        start.(r) <- s.Schedule.start;
+        finish.(r) <- s.Schedule.stop;
+        width.(r) <- s.Schedule.width
+      end
+      else begin
+        if s.Schedule.width <> width.(r) then changed.(r) <- true;
+        if s.Schedule.start > finish.(r) then gaps.(r) <- gaps.(r) + 1;
+        if s.Schedule.stop > finish.(r) then finish.(r) <- s.Schedule.stop
+      end)
+    slices;
+  let used = ref 0 and power = ref 0 in
+  let running = Array.make k 0 in
+  (* SOC cores with a slice running, to skip the pair scan when none of
+     them is a peer *)
+  let running_cores = Bitset.create (Array.length ctx.power) in
+  let active = Array.make (Array.length slices) 0 and n_active = ref 0 in
+  let slot = Array.make (Array.length slices) 0 in
+  let capacity = ref [] and pairs = ref [] and power_over = ref [] in
+  Schedule.sweep sched
+    ~event:(fun i (s : Schedule.slice) starting ->
+      let c = s.Schedule.core and r = rank.(i) in
+      if starting then begin
+        used := !used + s.Schedule.width;
+        if running.(r) > 0 then
+          capacity :=
+            Capacity (Schedule.Core_overlap { core = c; time = s.Schedule.start })
+            :: !capacity;
+        running.(r) <- running.(r) + 1;
+        if known c then begin
+          power := !power + ctx.power.(c);
+          let excl = ctx.excl.(c) and bist = ctx.bist.(c) in
+          if
+            ctx.peered.(c)
+            && not
+                 (Bitset.disjoint excl running_cores
+                 && Bitset.disjoint bist running_cores)
+          then
+            for m = 0 to !n_active - 1 do
+              let j = active.(m) in
+              let c' = slices.(j).Schedule.core in
+              let clash = c' <> c && Bitset.mem excl c'
+              and shared = c' <> c && Bitset.mem bist c' in
+              if clash || shared then
+                pairs :=
+                  (min i j, max i j, min c c', max c c', s.Schedule.start,
+                   clash, shared)
+                  :: !pairs
+            done;
+          active.(!n_active) <- i;
+          slot.(i) <- !n_active;
+          incr n_active;
+          Bitset.add running_cores c
+        end
+      end
+      else begin
+        used := !used - s.Schedule.width;
+        running.(r) <- running.(r) - 1;
+        if known c then begin
+          power := !power - ctx.power.(c);
+          if running.(r) = 0 then Bitset.remove running_cores c;
+          decr n_active;
+          let last = active.(!n_active) in
+          active.(slot.(i)) <- last;
+          slot.(last) <- slot.(i)
+        end
+      end)
+    ~group:(fun time ->
+      if !used > sched.Schedule.tam_width then
+        capacity :=
+          Capacity (Schedule.Capacity_exceeded { time; used = !used })
+          :: !capacity;
+      match ctx.power_limit with
+      | Some limit when !power > limit ->
+        power_over := Power_violated { time; power = !power; limit }
+                      :: !power_over
+      | _ -> ());
+  (* [f] over the cores present, ascending *)
+  let per_core f =
+    let acc = ref [] in
+    for r = k - 1 downto 0 do
+      if start.(r) >= 0 then
+        match f r (core_of r) with Some v -> acc := v :: !acc | None -> ()
+    done;
+    !acc
+  in
+  let unknown =
+    Array.to_list (Array.map (fun core -> Unknown_core { core }) rogue)
+  in
+  let above =
+    List.filter_map
+      (fun (s : Schedule.slice) ->
+        if s.Schedule.width > sched.Schedule.tam_width then
+          Some
+            (Width_above_total
+               { core = s.Schedule.core; width = s.Schedule.width })
+        else None)
+      sched.Schedule.slices
+  in
+  let width_changes =
+    per_core (fun r core ->
+        if not changed.(r) then None
+        else
+          let widths =
+            List.filter_map
+              (fun (s : Schedule.slice) ->
+                if s.Schedule.core = core then Some s.Schedule.width else None)
+              sched.Schedule.slices
+            |> List.sort_uniq Int.compare
+          in
+          Some (Width_changed { core; widths }))
+  in
+  let precedence =
+    List.filter_map
+      (fun (before, after) ->
+        let b = rank_of_core before and a = rank_of_core after in
+        let started r = r >= 0 && start.(r) >= 0 in
+        if started a && ((not (started b)) || start.(a) < finish.(b)) then
+          (* a successor that starts before its predecessor finishes, or
+             runs while the predecessor never does *)
+          Some (Precedence_violated { before; after })
+        else None)
+      constraints.Constraint_def.precedence
+  in
+  let pairwise =
+    List.sort
+      (fun (i, j, _, _, _, _, _) (i', j', _, _, _, _, _) ->
+        if i <> i' then Int.compare i' i else Int.compare j' j)
+      !pairs
+    |> List.concat_map (fun (_, _, a, b, time, clash, shared) ->
+           let engine =
+             Option.value ~default:0 (Soc_def.core ctx.soc a).Core_def.bist_engine
+           in
+           (if shared then [ Bist_violated { a; b; engine; time } ] else [])
+           @ if clash then [ Concurrency_violated { a; b; time } ] else [])
+  in
+  let preemptions =
+    per_core (fun r core ->
+        if core < 1 || core > constraints.Constraint_def.core_count then None
+        else
+          let limit = Constraint_def.max_preemptions_of constraints core in
+          if gaps.(r) > limit then
+            Some (Preemptions_exceeded { core; count = gaps.(r); limit })
+          else None)
+  in
+  List.rev !capacity @ unknown @ above @ width_changes @ precedence
+  @ pairwise @ List.rev !power_over @ preemptions
+
+let validate soc constraints sched = validate_ctx (context soc constraints) sched
 
 let pp_reason ppf = function
   | Precedence_pending p ->

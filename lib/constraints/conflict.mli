@@ -26,8 +26,10 @@ val admissible :
 
 type ctx
 (** Precomputed per-core constraint context: predecessor arrays,
-    exclusion and BIST-peer bitsets, per-core power. Build once per
-    solve with {!context}; it is immutable and shareable. *)
+    exclusion and BIST-peer bitsets, per-core power, over core ids
+    [0 .. n] with [n] the larger of the SOC's and the constraint set's
+    core counts. Build once per solve with {!context}; it is immutable
+    and shareable. *)
 
 val context : Soctest_soc.Soc_def.t -> Constraint_def.t -> ctx
 
@@ -70,7 +72,17 @@ val validate :
     malformed input: out-of-range core ids become {!Unknown_core}
     violations (and are excluded from the SOC-dereferencing checks), and a
     core whose slices change width becomes {!Width_changed} rather than
-    the [Invalid_argument] that [Schedule.width_of_core] would raise. *)
+    the [Invalid_argument] that [Schedule.width_of_core] would raise.
+
+    Cost: one pass over the slices and one {!Soctest_tam.Schedule.sweep}
+    over their boundaries; each start is checked against the slices
+    active at that instant only. The list is the same, element
+    for element and in order, as checking each property separately over
+    the whole slice list, which the test suite keeps as the oracle. *)
+
+val validate_ctx : ctx -> Soctest_tam.Schedule.t -> violation list
+(** {!validate} against the SOC and constraint set a {!context} was built
+    from, without rebuilding it — the optimizer's post-run self-check. *)
 
 val pp_reason : Format.formatter -> reason -> unit
 val pp_violation : Format.formatter -> violation -> unit

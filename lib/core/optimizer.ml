@@ -83,7 +83,7 @@ let preemption_penalty (core : Core_def.t) ~width =
   let d = Wrapper_design.design core ~width in
   d.Wrapper_design.si + d.Wrapper_design.so
 
-let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
+let check_run prepared ~tam_width ~constraints ~params ~overrides =
   check_params params;
   if tam_width < 1 then
     invalid_arg "Optimizer.run: tam_width must be >= 1";
@@ -91,15 +91,32 @@ let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
     constraints.Constraint_def.core_count
     <> Soc_def.core_count prepared.soc
   then invalid_arg "Optimizer.run: constraints core_count mismatch";
-  let soc = prepared.soc in
-  let n = Soc_def.core_count soc in
+  let n = Soc_def.core_count prepared.soc in
   List.iter
     (fun (id, w) ->
       if id < 1 || id > n then
         invalid_arg "Optimizer.run: override core id out of range";
       if w < 1 || w > tam_width then
         invalid_arg "Optimizer.run: override width out of range")
-    overrides;
+    overrides
+
+(* Initialize (Fig. 5): each core's preferred width. Explicit overrides
+   (snapped to the Pareto set) replace the percent/delta heuristic — the
+   hook the local-search Improver uses. This vector is the only way
+   [percent] and [delta] reach the scheduler. *)
+let preferred_widths ?(overrides = []) prepared ~tam_width ~params =
+  Array.mapi
+    (fun k p ->
+      match List.assoc_opt (k + 1) overrides with
+      | Some forced -> Pareto.effective_width p ~width:forced
+      | None -> preferred_width p ~params ~tam_width)
+    prepared.paretos
+
+(* One scheduler run from checked arguments and the preferred widths
+   [preferred_widths] gives for them. *)
+let schedule_from prepared ~tam_width ~constraints ~params widths =
+  let soc = prepared.soc in
+  let n = Soc_def.core_count soc in
   Obs.incr runs_counter;
   Obs.with_span ~cat:"phase" "tam.schedule"
     ~args:
@@ -109,18 +126,9 @@ let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
       ]
   @@ fun () ->
   let pareto id = prepared.paretos.(id - 1) in
-  (* Initialize (Fig. 5): preferred widths and initial remaining times;
-     explicit overrides (snapped to the Pareto set) replace the
-     percent/delta heuristic — the hook the local-search Improver uses *)
+  (* preferred widths and initial remaining times *)
   let prefs =
-    Array.init n (fun k ->
-        let p = pareto (k + 1) in
-        let w =
-          match List.assoc_opt (k + 1) overrides with
-          | Some forced -> Pareto.effective_width p ~width:forced
-          | None -> preferred_width p ~params ~tam_width
-        in
-        (w, Pareto.time p ~width:w, 0))
+    Array.mapi (fun k w -> (w, Pareto.time (pareto (k + 1)) ~width:w, 0)) widths
   in
   let max_preempts =
     Array.init n (fun k ->
@@ -398,7 +406,7 @@ let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
 
   let schedule = Sched_state.to_schedule st in
   (* The optimizer never trusts its own bookkeeping: re-validate. *)
-  (match Conflict.validate soc constraints schedule with
+  (match Conflict.validate_ctx ctx schedule with
   | [] -> ()
   | v :: _ ->
     Format.kasprintf failwith "Optimizer bug: invalid schedule (%a)"
@@ -427,6 +435,65 @@ let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
     preemptions;
     params;
   }
+
+let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
+  check_run prepared ~tam_width ~constraints ~params ~overrides;
+  schedule_from prepared ~tam_width ~constraints ~params
+    (preferred_widths ~overrides prepared ~tam_width ~params)
+
+(* What a run reads besides the search's fixed prepared SOC, TAM width
+   and constraints: percent and delta only through [prefs]. *)
+module Input = struct
+  type t = { prefs : int array; insert_slack : int; widen : bool }
+
+  let equal a b =
+    a.insert_slack = b.insert_slack && a.widen = b.widen
+    && Array.for_all2 Int.equal a.prefs b.prefs
+
+  let hash k =
+    Array.fold_left
+      (fun h w -> (h * 31) + w)
+      ((k.insert_slack * 2) + Bool.to_int k.widen)
+      k.prefs
+    land max_int
+end
+
+module Inputs = Hashtbl.Make (Input)
+
+type shared_runs = {
+  s_prepared : prepared;
+  s_tam_width : int;
+  s_constraints : Constraint_def.t;
+  first : result Inputs.t;
+}
+
+let shared_runs prepared ~tam_width ~constraints =
+  {
+    s_prepared = prepared;
+    s_tam_width = tam_width;
+    s_constraints = constraints;
+    first = Inputs.create 64;
+  }
+
+let run_shared t params =
+  let prepared = t.s_prepared
+  and tam_width = t.s_tam_width
+  and constraints = t.s_constraints in
+  check_run prepared ~tam_width ~constraints ~params ~overrides:[];
+  let prefs = preferred_widths prepared ~tam_width ~params in
+  let key =
+    {
+      Input.prefs;
+      insert_slack = params.insert_slack;
+      widen = params.widen;
+    }
+  in
+  match Inputs.find_opt t.first key with
+  | Some r -> ({ r with params }, true)
+  | None ->
+    let r = schedule_from prepared ~tam_width ~constraints ~params prefs in
+    Inputs.add t.first key r;
+    (r, false)
 
 type request = {
   tam_width : int;
@@ -472,6 +539,7 @@ let best_over_params ?(budget = Budget.unlimited) prepared ~tam_width
   in
   if points = [] then
     invalid_arg "Optimizer.best_over_params: empty parameter lists";
+  let runs = shared_runs prepared ~tam_width ~constraints in
   let best = ref None in
   List.iter
     (fun params ->
@@ -480,7 +548,7 @@ let best_over_params ?(budget = Budget.unlimited) prepared ~tam_width
       if !best = None || not (Budget.exhausted budget) then begin
         Obs.incr grid_cells_counter;
         Budget.note_eval budget;
-        let result = run prepared ~tam_width ~constraints ~params in
+        let result, _ = run_shared runs params in
         match !best with
         | Some r when r.testing_time <= result.testing_time -> ()
         | _ -> best := Some result

@@ -104,6 +104,40 @@ val run :
     @raise Invalid_argument if [tam_width < 1], params are out of range,
     or an override is out of range. *)
 
+val preferred_widths :
+  ?overrides:(int * int) list ->
+  prepared ->
+  tam_width:int ->
+  params:params ->
+  int array
+(** Per-core preferred widths (index [id - 1]) that {!run} starts from
+    (Fig. 5): the percent/delta choice clamped to [tam_width], or the
+    override snapped to the Pareto set. {!run} builds its vector with
+    this very function, and it is the only way [percent] and [delta]
+    reach the scheduler. *)
+
+type shared_runs
+(** One search's table of scheduler runs, from each distinct scheduler
+    input — the {!preferred_widths} vector, [insert_slack] and [widen] —
+    to the first result computed for it. Grid points that differ only in
+    [percent]/[delta] (or [wmax]) but give the same vector share one
+    run. A table is bound to one prepared SOC, TAM width and constraint
+    set; it is not thread-safe. *)
+
+val shared_runs :
+  prepared ->
+  tam_width:int ->
+  constraints:Soctest_constraints.Constraint_def.t ->
+  shared_runs
+
+val run_shared : shared_runs -> params -> result * bool
+(** [run_shared t params] is [run prepared ~tam_width ~constraints
+    ~params] with the table's arguments, bit for bit. The flag is [true]
+    when the result was taken from an earlier run of the same input
+    (with [params] put in its [params] field) instead of running the
+    scheduler. Argument errors and {!Infeasible} are raised exactly as
+    by {!run}. *)
+
 val run_request : ?overrides:(int * int) list -> prepared -> request -> result
 (** {!run} on a {!request} — the canonical evaluation entry point. *)
 
@@ -148,6 +182,7 @@ val best_over_params :
     the given parameter values (defaults: percent in 1..10 plus a few
     coarse larger values, delta in 0..4, insert slack in 3 or 8, widen
     on/off) and keep the schedule with the smallest testing time (ties:
-    first found). When [budget] expires mid-grid the best incumbent so
+    first found). Points with the same scheduler input share one run
+    ({!run_shared}). When [budget] expires mid-grid the best incumbent so
     far is returned (at least the first point is always evaluated);
     query [Budget.exhausted] to detect the degradation. *)

@@ -354,6 +354,7 @@ let store_put t key r =
    disk tier vs running the optimizer. *)
 type tally = {
   t_computed : int ref;
+  t_shared : int ref;
   t_cached : int ref;
   t_deduped : int ref;
   t_from_store : int ref;
@@ -364,6 +365,7 @@ type tally = {
 let new_tally () =
   {
     t_computed = ref 0;
+    t_shared = ref 0;
     t_cached = ref 0;
     t_deduped = ref 0;
     t_from_store = ref 0;
@@ -394,10 +396,14 @@ let run_pack order prepared (req : Optimizer.request) =
   }
 
 (* The caching drop-in for [Optimizer.run_request]; with [order] it
-   caches the packer's result instead. *)
-let cached_eval t ?tally ?overrides ?order prepared req =
+   caches the packer's result instead. A miss on both tiers goes through
+   [runs], the solve's table of scheduler inputs, when there is one: a
+   point whose input an earlier point already ran takes that run's
+   result with its own params, and is still cached and stored under its
+   own key. *)
+let cached_eval t ?tally ?runs ?overrides ?order prepared req =
   let key = eval_key t ?overrides ?order prepared req in
-  let via_store = ref false in
+  let via_store = ref false and shared = ref false in
   let probe_ms = ref 0. and solve_ms = ref 0. in
   let result, outcome =
     Cache.find_or_compute t.eval_cache key (fun () ->
@@ -411,9 +417,13 @@ let cached_eval t ?tally ?overrides ?order prepared req =
           probe_ms := Clock.now_ms () -. t0;
           let t1 = Clock.now_ms () in
           let r =
-            match order with
-            | None -> Optimizer.run_request ?overrides prepared req
-            | Some order -> run_pack order prepared req
+            match (order, runs) with
+            | Some order, _ -> run_pack order prepared req
+            | None, Some runs ->
+              let r, reused = Optimizer.run_shared runs req.Optimizer.params in
+              shared := reused;
+              r
+            | None, None -> Optimizer.run_request ?overrides prepared req
           in
           solve_ms := Clock.now_ms () -. t1;
           store_put t key r;
@@ -426,7 +436,9 @@ let cached_eval t ?tally ?overrides ?order prepared req =
     ty.t_solve_ms := !(ty.t_solve_ms) +. !solve_ms;
     match outcome with
     | Cache.Computed ->
-      if !via_store then incr ty.t_from_store else incr ty.t_computed
+      if !via_store then incr ty.t_from_store
+      else if !shared then incr ty.t_shared
+      else incr ty.t_computed
     | Cache.Cached -> incr ty.t_cached
     | Cache.Deduped -> incr ty.t_deduped));
   result
@@ -479,6 +491,7 @@ type stats = {
   pareto_computed : int;
   pareto_cached : int;
   eval_computed : int;
+  eval_shared : int;
   eval_cached : int;
   eval_deduped : int;
   eval_from_store : int;
@@ -527,6 +540,16 @@ let solve t (r : request) =
   in
   let pareto_cached = Soc_def.core_count r.soc - pareto_computed in
   let tally = new_tally () in
+  (* the grid's points share this solve's prepared SOC, width and
+     constraints, so equal scheduler inputs mean equal runs *)
+  let runs =
+    match order with
+    | None ->
+      Some
+        (Optimizer.shared_runs prepared ~tam_width:r.tam_width
+           ~constraints:r.constraints)
+    | Some _ -> None
+  in
   let best = ref None in
   let evaluated = ref 0 in
   List.iter
@@ -540,7 +563,7 @@ let solve t (r : request) =
           Optimizer.request ~params ~tam_width:r.tam_width
             ~constraints:r.constraints ()
         in
-        let result = cached_eval t ~tally ?order prepared req in
+        let result = cached_eval t ~tally ?runs ?order prepared req in
         match !best with
         | Some b
           when b.Optimizer.testing_time <= result.Optimizer.testing_time ->
@@ -581,6 +604,7 @@ let solve t (r : request) =
         pareto_computed;
         pareto_cached;
         eval_computed = !(tally.t_computed);
+        eval_shared = !(tally.t_shared);
         eval_cached = !(tally.t_cached);
         eval_deduped = !(tally.t_deduped);
         eval_from_store = !(tally.t_from_store);

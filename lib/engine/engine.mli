@@ -109,6 +109,14 @@ type stats = {
   pareto_computed : int;  (** staircases computed for this solve *)
   pareto_cached : int;  (** staircases served from the cache *)
   eval_computed : int;  (** scheduler runs this solve executed *)
+  eval_shared : int;
+      (** evaluations missing from both tiers whose scheduler input
+          (per-core {!Optimizer.preferred_widths}, insert slack, widen)
+          an earlier point of this solve had already run: they take that
+          run's result with their own params, are cached and stored
+          under their own keys, and run nothing. [eval_computed +
+          eval_shared + eval_cached + eval_deduped + eval_from_store =
+          evaluations]. *)
   eval_cached : int;  (** evaluations served without blocking *)
   eval_deduped : int;  (** evaluations shared with a concurrent computer *)
   eval_from_store : int;
@@ -137,7 +145,8 @@ type outcome = {
       (** best over the evaluated grid points — ties kept by enumeration
           order, exactly as {!Optimizer.best_over_params} *)
   status : status;
-  evaluations : int;  (** grid points evaluated (computed or cached) *)
+  evaluations : int;
+      (** grid points evaluated (computed, shared or cached) *)
   stats : stats;
 }
 

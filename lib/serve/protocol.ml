@@ -250,6 +250,7 @@ let json_of_outcome ?lower_bound ~soc (o : Engine.outcome) =
             ("pareto_computed", Json.Int o.Engine.stats.Engine.pareto_computed);
             ("pareto_cached", Json.Int o.Engine.stats.Engine.pareto_cached);
             ("eval_computed", Json.Int o.Engine.stats.Engine.eval_computed);
+            ("eval_shared", Json.Int o.Engine.stats.Engine.eval_shared);
             ("eval_cached", Json.Int o.Engine.stats.Engine.eval_cached);
             ("eval_deduped", Json.Int o.Engine.stats.Engine.eval_deduped);
             ( "eval_from_store",

@@ -113,29 +113,60 @@ let width_of_core t core =
         (Printf.sprintf "Schedule.width_of_core: core %d changes width" core)
     else Some s.width
 
-(* Event sweep over slice boundaries. *)
-let events t =
-  List.concat_map
-    (fun s -> [ (s.start, s.width, s.core); (s.stop, -s.width, s.core) ])
-    t.slices
-  |> List.sort compare
+(* Event sweep over slice boundaries. The slices are already sorted by
+   start, so the starts only need each run of equal start times put
+   narrowest first (an insertion sort, linear on that input); the ends
+   get one sort by stop. A merge of the two then visits every end at a
+   timestamp before every start there, so a slice ending exactly when
+   another starts is never counted twice. *)
+let sweep t ~event ~group =
+  let slices = Array.of_list t.slices in
+  let n = Array.length slices in
+  let before a b =
+    let sa = slices.(a) and sb = slices.(b) in
+    sa.start < sb.start
+    || sa.start = sb.start
+       && (sa.width < sb.width || (sa.width = sb.width && sa.core < sb.core))
+  in
+  let starts = Array.init n Fun.id in
+  for k = 1 to n - 1 do
+    let x = starts.(k) in
+    let j = ref (k - 1) in
+    while !j >= 0 && before x starts.(!j) do
+      starts.(!j + 1) <- starts.(!j);
+      decr j
+    done;
+    starts.(!j + 1) <- x
+  done;
+  let ends = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare slices.(a).stop slices.(b).stop) ends;
+  let si = ref 0 and ei = ref 0 in
+  while !ei < n do
+    let now =
+      let stop = slices.(ends.(!ei)).stop in
+      if !si < n && slices.(starts.(!si)).start < stop then
+        slices.(starts.(!si)).start
+      else stop
+    in
+    while !ei < n && slices.(ends.(!ei)).stop = now do
+      let i = ends.(!ei) in
+      event i slices.(i) false;
+      incr ei
+    done;
+    while !si < n && slices.(starts.(!si)).start = now do
+      let i = starts.(!si) in
+      event i slices.(i) true;
+      incr si
+    done;
+    group now
+  done
 
 let peak_width t =
   let peak = ref 0 and used = ref 0 in
-  (* process all events at the same timestamp together so that a slice
-     ending exactly when another starts does not double-count *)
-  let evs = events t in
-  let rec sweep = function
-    | [] -> ()
-    | (time, _, _) :: _ as evs ->
-      let now, later =
-        List.partition (fun (tm, _, _) -> tm = time) evs
-      in
-      List.iter (fun (_, dw, _) -> used := !used + dw) now;
-      peak := max !peak !used;
-      sweep later
-  in
-  sweep evs;
+  sweep t
+    ~event:(fun _ s starting ->
+      used := if starting then !used + s.width else !used - s.width)
+    ~group:(fun _ -> if !used > !peak then peak := !used);
   !peak
 
 let active_at t time =
@@ -149,32 +180,24 @@ let check_capacity t =
   let violations = ref [] in
   let used = ref 0 in
   let running : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec sweep = function
-    | [] -> ()
-    | (time, _, _) :: _ as evs ->
-      let now, later = List.partition (fun (tm, _, _) -> tm = time) evs in
-      (* apply all ends first, then all starts, at identical timestamps *)
-      let ends, starts = List.partition (fun (_, dw, _) -> dw < 0) now in
-      List.iter
-        (fun (_, dw, core) ->
-          used := !used + dw;
-          let n = Hashtbl.find running core in
-          if n = 1 then Hashtbl.remove running core
-          else Hashtbl.replace running core (n - 1))
-        ends;
-      List.iter
-        (fun (_, dw, core) ->
-          used := !used + dw;
-          let n = try Hashtbl.find running core with Not_found -> 0 in
-          if n > 0 then
-            violations := Core_overlap { core; time } :: !violations;
-          Hashtbl.replace running core (n + 1))
-        starts;
+  let count core = Option.value ~default:0 (Hashtbl.find_opt running core) in
+  sweep t
+    ~event:(fun _ s starting ->
+      let n = count s.core in
+      if starting then begin
+        used := !used + s.width;
+        if n > 0 then
+          violations := Core_overlap { core = s.core; time = s.start }
+                        :: !violations;
+        Hashtbl.replace running s.core (n + 1)
+      end
+      else begin
+        used := !used - s.width;
+        Hashtbl.replace running s.core (n - 1)
+      end)
+    ~group:(fun time ->
       if !used > t.tam_width then
-        violations := Capacity_exceeded { time; used = !used } :: !violations;
-      sweep later
-  in
-  sweep (events t);
+        violations := Capacity_exceeded { time; used = !used } :: !violations);
   List.rev !violations
 
 let pp_violation ppf = function

@@ -64,6 +64,17 @@ val width_of_core : t -> int -> int option
     [None] if the core is absent. @raise Invalid_argument if the core's
     slices disagree on width (not a legal schedule of this framework). *)
 
+val sweep :
+  t -> event:(int -> slice -> bool -> unit) -> group:(int -> unit) -> unit
+(** The slice boundaries in time order, after one sort of the ends
+    (the starts come sorted with [t.slices]): [event i s starting] for
+    the start ([starting = true]) or end of slice [s], the [i]-th of
+    [t.slices]; then, after the last event at each timestamp,
+    [group time]. At equal times every end precedes every start, so a
+    slice ending exactly when another starts never overlaps it; starts
+    go narrowest first, ties by core. {!peak_width}, {!check_capacity}
+    and [Conflict.validate] are each one such sweep. *)
+
 val peak_width : t -> int
 (** Maximum number of simultaneously busy TAM wires. *)
 

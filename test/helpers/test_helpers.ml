@@ -214,3 +214,7 @@ let prom_lint text =
       | Error msg -> Error (Printf.sprintf "line %d: %s: %S" ln msg line))
   in
   go 1 (String.split_on_char '\n' text)
+
+(* ---------------- oracles ---------------- *)
+
+module Ref_validate = Ref_validate

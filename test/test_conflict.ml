@@ -208,6 +208,103 @@ let test_pp_smoke () =
     (fun s -> Alcotest.(check bool) "non-empty" true (String.length s > 0))
     strings
 
+(* ---------------- sweep = per-check oracle ---------------- *)
+
+module Ref = Test_helpers.Ref_validate
+
+(* Random SOCs with powers and shared BIST engines, constraint sets of
+   every kind (core counts one below, equal to or one above the SOC's),
+   and slice soups that break every rule: rogue core ids past the SOC,
+   widths above W, same-core overlaps, width changes and gaps. Times are
+   multiples of 5 so ends and starts often coincide. *)
+let gen_case =
+  QCheck.Gen.(
+    let* n = int_range 1 7 in
+    let* cores =
+      flatten_l
+        (List.init n (fun k ->
+             let* power = int_range 1 20 in
+             let* bist = opt ~ratio:0.4 (int_range 1 2) in
+             return (mk ~power ?bist (k + 1) (Printf.sprintf "c%d" (k + 1)))))
+    in
+    let soc = Soc_def.make ~name:"sweep" ~cores () in
+    let* core_count = int_range (max 1 (n - 1)) (n + 1) in
+    let pair =
+      let* a = int_range 1 core_count in
+      let* b = int_range 1 core_count in
+      return (min a b, max a b)
+    in
+    let* precedence = list_size (int_range 0 4) pair in
+    let precedence = List.filter (fun (a, b) -> a < b) precedence in
+    let* concurrency = list_size (int_range 0 4) pair in
+    let concurrency = List.filter (fun (a, b) -> a < b) concurrency in
+    let* power_limit = opt (int_range 1 60) in
+    let* budgets =
+      list_repeat core_count (int_range 0 2)
+    in
+    let constraints =
+      C.make ~core_count ~precedence ~concurrency ?power_limit
+        ~max_preemptions:(List.mapi (fun k b -> (k + 1, b)) budgets)
+        ()
+    in
+    let* tam_width = int_range 1 12 in
+    let* slices =
+      list_size (int_range 0 14)
+        (let* core = int_range 1 (n + 2) in
+         let* width = int_range 1 (tam_width + 2) in
+         let* start = int_range 0 12 in
+         let* len = int_range 1 6 in
+         return
+           { S.core; width; start = 5 * start; stop = 5 * (start + len) })
+    in
+    return (soc, constraints, S.make ~tam_width ~slices))
+
+let arb_case =
+  QCheck.make gen_case ~print:(fun (soc, c, sched) ->
+      Format.asprintf "%a@.%a@.%a" Soc_def.pp soc C.pp c S.pp sched)
+
+let show vs =
+  String.concat "; " (List.map (Format.asprintf "%a" Conflict.pp_violation) vs)
+
+let prop_validate_is_oracle =
+  Test_helpers.qtest "validate = per-check oracle" ~count:2000 arb_case
+    (fun (soc, c, sched) ->
+      let got = Conflict.validate soc c sched
+      and want = Ref.validate soc c sched in
+      got = want
+      || QCheck.Test.fail_reportf "sweep: [%s]@.oracle: [%s]" (show got)
+           (show want))
+
+let prop_capacity_is_oracle =
+  Test_helpers.qtest "check_capacity and peak_width = oracle" ~count:2000
+    arb_case (fun (_, _, sched) ->
+      S.check_capacity sched = Ref.check_capacity sched
+      && S.peak_width sched = Ref.peak_width sched)
+
+(* Boundary cases the random soup can miss: a slice ending exactly when
+   a clashing one starts is no overlap, and the same pair one cycle
+   earlier is. *)
+let test_sweep_touching_boundaries () =
+  let c = C.make ~core_count:4 ~concurrency:[ (1, 4) ] ~power_limit:80 () in
+  let slice core width start stop = { S.core; width; start; stop } in
+  let touching =
+    S.make ~tam_width:4
+      ~slices:
+        [ slice 1 2 0 10; slice 4 2 10 20; slice 2 2 0 10; slice 3 2 10 20 ]
+  in
+  Alcotest.(check int) "touching slices never clash" 0
+    (List.length (Conflict.validate soc c touching));
+  let overlapping =
+    S.make ~tam_width:4
+      ~slices:
+        [ slice 1 2 0 11; slice 4 2 10 20; slice 2 2 0 11; slice 3 2 10 20 ]
+  in
+  let got = Conflict.validate soc c overlapping in
+  Alcotest.(check string) "overlap by one cycle = oracle"
+    (show (Ref.validate soc c overlapping))
+    (show got);
+  Alcotest.(check bool) "and it is caught" true (got <> [])
+
 let () =
   Alcotest.run "conflict"
     [
@@ -234,5 +331,12 @@ let () =
           Alcotest.test_case "capacity" `Quick test_validate_capacity;
           Alcotest.test_case "preemptions" `Quick test_validate_preemptions;
           Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
+        ] );
+      ( "sweep",
+        [
+          prop_validate_is_oracle;
+          prop_capacity_is_oracle;
+          Alcotest.test_case "touching boundaries" `Quick
+            test_sweep_touching_boundaries;
         ] );
     ]

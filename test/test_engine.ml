@@ -134,8 +134,12 @@ let test_dedup_under_domains () =
         o.Engine.evaluations)
     outcomes;
   let total field = List.fold_left (fun acc o -> acc + field o) 0 outcomes in
+  (* a point missing from the cache is either run or shares an earlier
+     run of the same scheduler input in its own solve *)
   Alcotest.(check int) "each unique grid point computed exactly once" 4
-    (total (fun o -> o.Engine.stats.Engine.eval_computed));
+    (total (fun o ->
+         o.Engine.stats.Engine.eval_computed
+         + o.Engine.stats.Engine.eval_shared));
   Alcotest.(check int) "everything else served by cache or dedup" 12
     (total (fun o ->
          o.Engine.stats.Engine.eval_cached
@@ -342,6 +346,107 @@ let test_pack_store_hit () =
     (IO.to_string first.Engine.result.O.schedule)
     (IO.to_string second.Engine.result.O.schedule)
 
+(* ---------------- shared runs ---------------- *)
+
+let p2 soc =
+  C.of_soc soc
+    ~power_limit:(Flow.default_power_limit soc)
+    ~max_preemptions:(Flow.preemption_budget soc ~limit:2)
+    ()
+
+(* The scheduler inputs of a grid, counted here from
+   [Optimizer.preferred_widths] alone. *)
+let distinct_inputs prepared ~tam_width points =
+  List.sort_uniq compare
+    (List.map
+       (fun (p : O.params) ->
+         ( Array.to_list (O.preferred_widths prepared ~tam_width ~params:p),
+           p.O.insert_slack,
+           p.O.widen ))
+       points)
+  |> List.length
+
+let same_result msg (want : O.result) (got : O.result) =
+  Alcotest.(check bool) (msg ^ ": params") true (want.O.params = got.O.params);
+  Alcotest.(check int) (msg ^ ": makespan") want.O.testing_time
+    got.O.testing_time;
+  Alcotest.(check string) (msg ^ ": schedule")
+    (IO.to_string want.O.schedule) (IO.to_string got.O.schedule);
+  Alcotest.(check bool) (msg ^ ": widths and preemptions") true
+    (want.O.widths = got.O.widths && want.O.preemptions = got.O.preemptions)
+
+let test_shared_grid () =
+  let tam_width = 32 in
+  List.iter
+    (fun soc ->
+      let name = soc.Soc_def.name in
+      let constraints = p2 soc in
+      let engine = Engine.create () in
+      let o =
+        Engine.solve engine
+          (Engine.request ~grid:Engine.default_grid soc ~tam_width
+             ~constraints ())
+      in
+      let prepared = Engine.prepare engine soc in
+      let points = O.grid_points ~wmax:64 () in
+      let distinct = distinct_inputs prepared ~tam_width points in
+      let st = o.Engine.stats in
+      Alcotest.(check int) (name ^ ": evaluations") 208 o.Engine.evaluations;
+      Alcotest.(check bool) (name ^ ": some inputs repeat") true
+        (distinct < 208);
+      Alcotest.(check int) (name ^ ": one run per input") distinct
+        st.Engine.eval_computed;
+      Alcotest.(check int) (name ^ ": the rest shared") (208 - distinct)
+        st.Engine.eval_shared;
+      Alcotest.(check int) (name ^ ": nothing else") 0
+        (st.Engine.eval_cached + st.Engine.eval_deduped
+        + st.Engine.eval_from_store);
+      (* every point's cached entry is what a direct run gives, and the
+         winner is the first best in grid order *)
+      let eval = Engine.evaluator engine in
+      let best =
+        List.fold_left
+          (fun best params ->
+            let req = O.request ~params ~tam_width ~constraints () in
+            let direct = O.run_request prepared req in
+            same_result (name ^ " point") direct (eval prepared req);
+            match best with
+            | Some (b : O.result) when b.O.testing_time <= direct.O.testing_time
+              ->
+              best
+            | _ -> Some direct)
+          None points
+      in
+      same_result (name ^ " winner") (Option.get best) o.Engine.result;
+      Alcotest.(check (pair int int)) (name ^ ": every point was cached")
+        (208, 208)
+        (Engine.eval_cache_stats engine))
+    [ Test_helpers.d695 (); Soctest_soc.Benchmarks.p93791 () ]
+
+(* Shared points are written through under their own keys with their own
+   params, so a fresh engine on the same store audits every one clean. *)
+let test_shared_store_reload () =
+  let path = Filename.temp_file "soctest-engine-shared" ".store" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let soc = Test_helpers.d695 () in
+  let req =
+    Engine.request ~grid:Engine.default_grid soc ~tam_width:32
+      ~constraints:(p2 soc) ()
+  in
+  let solve () =
+    let store = Store.open_ path in
+    Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+    Engine.solve (Engine.create ~store ()) req
+  in
+  let cold = solve () in
+  let reload = solve () in
+  Alcotest.(check bool) "cold shared some runs" true
+    (cold.Engine.stats.Engine.eval_shared > 0);
+  Alcotest.(check int) "every point from the store" 208
+    reload.Engine.stats.Engine.eval_from_store;
+  same_result "reload" cold.Engine.result reload.Engine.result
+
 let () =
   Alcotest.run "engine"
     [
@@ -387,5 +492,12 @@ let () =
             test_pack_and_point_keys_differ;
           Alcotest.test_case "packed result served from store" `Quick
             test_pack_store_hit;
+        ] );
+      ( "shared runs",
+        [
+          Alcotest.test_case "d695 and p93791 grid at W=32" `Quick
+            test_shared_grid;
+          Alcotest.test_case "shared points reload from the store" `Quick
+            test_shared_store_reload;
         ] );
     ]

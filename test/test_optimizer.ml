@@ -191,6 +191,52 @@ let test_best_over_params_no_worse () =
   Alcotest.(check bool) "best <= single" true
     (best.O.testing_time <= single.O.testing_time)
 
+(* Points sharing a scheduler input share one run: the answer is the
+   plain grid loop's, bit for bit and with the same tie choice, while
+   [optimizer.grid_cells] still counts every point and [optimizer.runs]
+   only the distinct inputs. *)
+let test_best_over_params_shares_runs () =
+  let module Obs = Soctest_obs.Obs in
+  let soc = Test_helpers.d695 () in
+  let prepared = O.prepare soc in
+  let constraints = C.of_soc soc ~power_limit:(Flow.default_power_limit soc) () in
+  let tam_width = 24 in
+  let points = O.grid_points ~wmax:64 () in
+  let plain =
+    List.fold_left
+      (fun best params ->
+        let r = O.run prepared ~tam_width ~constraints ~params in
+        match best with
+        | Some (b : O.result) when b.O.testing_time <= r.O.testing_time -> best
+        | _ -> Some r)
+      None points
+    |> Option.get
+  in
+  let distinct =
+    List.sort_uniq compare
+      (List.map
+         (fun (p : O.params) ->
+           ( O.preferred_widths prepared ~tam_width ~params:p,
+             p.O.insert_slack,
+             p.O.widen ))
+         points)
+    |> List.length
+  in
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
+  let cells = Obs.counter "optimizer.grid_cells"
+  and runs = Obs.counter "optimizer.runs" in
+  let best = O.best_over_params prepared ~tam_width ~constraints () in
+  let cells = Obs.counter_value cells and runs = Obs.counter_value runs in
+  if not was_enabled then Obs.disable ();
+  Alcotest.(check bool) "same params" true (plain.O.params = best.O.params);
+  Alcotest.(check string) "same schedule"
+    (Format.asprintf "%a" S.pp plain.O.schedule)
+    (Format.asprintf "%a" S.pp best.O.schedule);
+  Alcotest.(check int) "every grid cell counted" 208 cells;
+  Alcotest.(check int) "one run per distinct input" distinct runs;
+  Alcotest.(check bool) "inputs repeat" true (distinct < 208)
+
 let test_widths_are_reported () =
   let soc = Test_helpers.d695 () in
   let r = run soc (Test_helpers.unconstrained soc) 32 in
@@ -336,5 +382,7 @@ let () =
             test_constraints_mismatch;
           Alcotest.test_case "best over params" `Quick
             test_best_over_params_no_worse;
+          Alcotest.test_case "best_over_params shares runs" `Quick
+            test_best_over_params_shares_runs;
         ] );
     ]
